@@ -56,6 +56,23 @@ void BM_BuildPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildPlan);
 
+// The tuner's per-candidate cost: the same plan as BM_BuildPlan,
+// instantiated from a template prepared once outside the loop.
+void BM_InstantiatePlan(benchmark::State& state) {
+  const auto prog = stencils::benchmark_program("hypterm", 320);
+  const auto dev = gpumodel::p100();
+  codegen::KernelConfig cfg;
+  cfg.tiling = codegen::TilingScheme::StreamSerial;
+  cfg.stream_axis = 2;
+  cfg.block = {16, 8, 1};
+  const codegen::PlanTemplate tmpl =
+      codegen::prepare_plan(prog, {ir::bind_call(prog, prog.steps[0].call)});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codegen::build_plan(tmpl, cfg, dev));
+  }
+}
+BENCHMARK(BM_InstantiatePlan);
+
 void BM_EvaluatePlan(benchmark::State& state) {
   const auto prog = stencils::benchmark_program("hypterm", 320);
   const auto dev = gpumodel::p100();

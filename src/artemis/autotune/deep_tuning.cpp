@@ -24,13 +24,9 @@ DeepTuneEntry tune_one_tile(const ir::Program& prog,
   const transform::TimeTiledKernel tt =
       transform::time_tile_iterate(prog, iterate_step, x);
 
-  // The factory captures the augmented program and stages by value so
-  // each tuner evaluation rebuilds the plan for its config.
-  const PlanFactory factory =
-      [prog = tt.augmented,
-       stages = tt.stages, &dev](const codegen::KernelConfig& cfg) {
-        return codegen::build_plan(prog, stages, cfg, dev);
-      };
+  // The stage list is analyzed once; each tuner evaluation instantiates
+  // the template for its config.
+  const PlanFactory factory = template_factory(tt.augmented, tt.stages, dev);
 
   codegen::KernelConfig seed;
   seed.tiling = codegen::TilingScheme::StreamSerial;

@@ -1,7 +1,9 @@
 #include "artemis/autotune/search.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -115,13 +117,40 @@ struct EvalOutcome {
   std::optional<Candidate> candidate;  ///< success, either path
 };
 
+/// One candidate's plan build: the plan, or the PlanError the factory
+/// threw for it.
+struct BuiltPlan {
+  std::optional<KernelPlan> plan;
+  std::exception_ptr error;
+};
+
+BuiltPlan build_candidate(const PlanFactory& factory,
+                          const KernelConfig& cfg) {
+  BuiltPlan built;
+  try {
+    built.plan = factory(cfg);
+  } catch (const PlanError&) {
+    built.error = std::current_exception();
+  }
+  return built;
+}
+
 /// The thread-safe half of try-one-configuration: journal lookup (the
-/// replay map is immutable during a run), plan construction, and the
-/// measurement through the resilient runner. No telemetry counters, no
-/// journal writes, no TuneResult mutation — commit_candidate does those.
-EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg) {
+/// replay map is immutable during a run) and the measurement of the
+/// candidate's already-built plan through the resilient runner. A build
+/// error is rethrown inside the runner, which reports it as infeasible;
+/// the build itself runs before the runner, so the runner's deadline
+/// times only the evaluation. No telemetry counters, no journal writes,
+/// no TuneResult mutation — commit_candidate does those.
+EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg,
+                               const BuiltPlan& built) {
   EvalOutcome eo;
   if (ctx.needs_key()) eo.key = ctx.candidate_key(cfg);
+
+  const auto eval_plan = [&]() -> gpumodel::KernelEval {
+    if (built.error) std::rethrow_exception(built.error);
+    return gpumodel::evaluate(*built.plan, ctx.dev, ctx.params);
+  };
 
   // Replay: a resumed journal already holds this candidate's outcome, so
   // the (expensive, possibly faulty) measurement is skipped. The cheap
@@ -133,9 +162,7 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg) {
       eo.replay = rec;
       if (rec->status == "ok") {
         try {
-          const KernelPlan plan = ctx.factory(cfg);
-          gpumodel::KernelEval ev =
-              gpumodel::evaluate(plan, ctx.dev, ctx.params);
+          gpumodel::KernelEval ev = eval_plan();
           if (ev.valid) {
             Candidate c;
             c.config = cfg;
@@ -150,10 +177,7 @@ EvalOutcome evaluate_candidate(EvalContext& ctx, const KernelConfig& cfg) {
     }
   }
 
-  eo.outcome = ctx.runner.run("tuner.eval", eo.key, [&]() {
-    const KernelPlan plan = ctx.factory(cfg);
-    return gpumodel::evaluate(plan, ctx.dev, ctx.params);
-  });
+  eo.outcome = ctx.runner.run("tuner.eval", eo.key, eval_plan);
   if (eo.outcome.status == robust::RunStatus::Ok && eo.outcome.eval.valid) {
     Candidate c;
     c.config = cfg;
@@ -267,6 +291,22 @@ std::optional<Candidate> commit_candidate(EvalContext& ctx,
   return std::nullopt;
 }
 
+/// One leaderboard slot: a candidate and its canonical config
+/// serialization, made once when the candidate is inserted (dedup and the
+/// tie-break compare it). A board is best first and holds top_k slots.
+struct Ranked {
+  Candidate cand;
+  std::string key;
+};
+using Leaderboard = std::vector<Ranked>;
+
+/// Move the tuning result's best candidate and leaderboard off the board.
+void settle_board(Leaderboard board, TuneResult& result) {
+  result.best = board.front().cand;
+  result.leaderboard.clear();
+  for (auto& r : board) result.leaderboard.push_back(std::move(r.cand));
+}
+
 /// Graceful degradation: when the whole search came up empty (everything
 /// infeasible, crashed, or quarantined), fall back to the baseline seed
 /// configuration — evaluated directly, outside the fault/retry path — and
@@ -274,7 +314,7 @@ std::optional<Candidate> commit_candidate(EvalContext& ctx,
 /// false when even the baseline cannot run; the caller then throws the
 /// historical PlanError.
 bool degrade_to_seed(EvalContext& ctx, const KernelConfig& seed,
-                     std::vector<Candidate>& board) {
+                     Leaderboard& board) {
   try {
     const KernelPlan plan = ctx.factory(seed);
     gpumodel::KernelEval ev = gpumodel::evaluate(plan, ctx.dev, ctx.params);
@@ -293,57 +333,54 @@ bool degrade_to_seed(EvalContext& ctx, const KernelConfig& seed,
                  "the baseline config")},
            {"config", Json(serialize_config(seed))}});
     }
-    board.push_back(std::move(c));  // the board is empty by construction
+    // The board is empty by construction.
+    board.push_back({std::move(c), serialize_config(seed)});
     return true;
   } catch (const PlanError&) {
     return false;
   }
 }
 
-void insert_leaderboard(std::vector<Candidate>& board, Candidate c,
-                        int top_k) {
+void insert_leaderboard(Leaderboard& board, Candidate c, int top_k) {
   const bool had_best = !board.empty();
-  const double prev_best_s = had_best ? board.front().time_s : 0;
+  const double prev_best_s = had_best ? board.front().cand.time_s : 0;
   const std::string prev_best_cfg =
-      had_best && telemetry::enabled() ? serialize_config(board.front().config)
-                                       : std::string();
+      had_best && telemetry::enabled() ? board.front().key : std::string();
   // A config never holds two slots: the random sweep and stage-2 variant
   // generation can enumerate the same config twice, and under timing
   // trials the two measurements may differ. The better one keeps the one
   // slot; the rest of the board stays available for distinct configs
   // instead of a duplicate pushing them past the top_k cut.
-  const std::string key = serialize_config(c.config);
-  const auto dup =
-      std::find_if(board.begin(), board.end(), [&](const Candidate& e) {
-        return serialize_config(e.config) == key;
-      });
+  std::string key = serialize_config(c.config);
+  const auto dup = std::find_if(board.begin(), board.end(),
+                                [&](const Ranked& r) { return r.key == key; });
   if (dup != board.end()) {
-    if (c.time_s >= dup->time_s) return;  // existing entry at least as good
-    *dup = std::move(c);
+    // The existing entry stays when it is at least as good.
+    if (c.time_s >= dup->cand.time_s) return;
+    dup->cand = std::move(c);
   } else {
-    board.push_back(std::move(c));
+    board.push_back({std::move(c), std::move(key)});
   }
   // Ties on time are broken by the canonical config serialization: a
   // total order, so the board never depends on insertion history and the
   // parallel tuner's plan matches the serial one even among equal-cost
   // candidates.
-  std::sort(board.begin(), board.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.time_s != b.time_s) return a.time_s < b.time_s;
-              return serialize_config(a.config) < serialize_config(b.config);
-            });
+  std::sort(board.begin(), board.end(), [](const Ranked& a, const Ranked& b) {
+    if (a.cand.time_s != b.cand.time_s) return a.cand.time_s < b.cand.time_s;
+    return a.key < b.key;
+  });
   if (board.size() > static_cast<std::size_t>(top_k)) {
     board.resize(static_cast<std::size_t>(top_k));
   }
   // Leaderboard-change events ride the serial commit path, so the event
   // stream is identical at any jobs value (search observability).
   if (telemetry::enabled()) {
-    const std::string best_cfg = serialize_config(board.front().config);
+    const std::string& best_cfg = board.front().key;
     if (!had_best || best_cfg != prev_best_cfg) {
       telemetry::counter_add("tuner.leaderboard_changes");
       std::vector<telemetry::Attr> args;
       args.push_back({"config", Json(best_cfg)});
-      args.push_back({"time_ms", Json(board.front().time_s * 1e3)});
+      args.push_back({"time_ms", Json(board.front().cand.time_s * 1e3)});
       if (had_best) {
         args.push_back({"previous_best_ms", Json(prev_best_s * 1e3)});
       }
@@ -354,46 +391,38 @@ void insert_leaderboard(std::vector<Candidate>& board, Candidate c,
   }
 }
 
-/// Pick the smallest register budget at which the estimate does not
-/// spill; returns nullopt when even the largest budget spills (the caller
-/// may still evaluate at the top budget and pay the spill penalty).
-std::optional<int> spill_free_budget(const PlanFactory& factory,
-                                     KernelConfig cfg,
-                                     const TuneOptions& opts,
-                                     int* skipped) {
+/// Register-budget escalation (Section V) settled from one built plan:
+/// the smallest budget at which its register estimate does not spill, or
+/// the largest budget when every one spills (the candidate then pays the
+/// spill penalty). The estimate does not depend on the budget (see the
+/// PlanFactory contract), so one estimate decides every step. When
+/// `skipped` is set, each spilling budget passed over is counted there
+/// and in `tuner.pruned_spill_budgets`.
+int settle_budget(const KernelPlan& plan, const TuneOptions& opts,
+                  int* skipped) {
+  const int regs = gpumodel::estimate_registers(plan).total;
   for (const int budget : opts.register_budgets) {
-    cfg.max_registers = budget;
-    try {
-      const KernelPlan plan = factory(cfg);
-      const auto est = gpumodel::estimate_registers(plan);
-      if (est.total <= budget) return budget;
+    if (regs <= budget) return budget;
+    if (skipped != nullptr) {
       ++*skipped;
       telemetry::counter_add("tuner.pruned_spill_budgets");
-    } catch (const PlanError&) {
-      return std::nullopt;
-    }
-  }
-  return std::nullopt;
-}
-
-
-/// Silent twin of spill_free_budget for the pre-filter's scoring pass:
-/// identical settling logic, but no telemetry and no skip accounting, so
-/// a surviving candidate's later (counted) escalation stays the first
-/// and only one observed.
-int settled_budget(const PlanFactory& factory, KernelConfig cfg,
-                   const TuneOptions& opts) {
-  for (const int budget : opts.register_budgets) {
-    cfg.max_registers = budget;
-    try {
-      if (gpumodel::estimate_registers(factory(cfg)).total <= budget) {
-        return budget;
-      }
-    } catch (const PlanError&) {
-      break;
     }
   }
   return opts.register_budgets.back();
+}
+
+/// Build a stage-1 candidate once and settle its register budget from
+/// that build; the plan carries the settled budget in its config. An
+/// infeasible build leaves the config at the largest budget, where the
+/// evaluation reports the build's PlanError.
+BuiltPlan build_escalated(const PlanFactory& factory, KernelConfig& cfg,
+                          const TuneOptions& opts, int* skipped) {
+  BuiltPlan built = build_candidate(factory, cfg);
+  cfg.max_registers = built.plan
+                          ? settle_budget(*built.plan, opts, skipped)
+                          : opts.register_budgets.back();
+  if (built.plan) built.plan->config.max_registers = cfg.max_registers;
+  return built;
 }
 
 /// Analytical pre-filter (TuneOptions::model_prune_k, after Ernst et
@@ -419,15 +448,16 @@ std::vector<KernelConfig> model_prefilter(EvalContext& ctx, TaskPool* pool,
   std::vector<double> scores(raw.size(), 0.0);
   const auto score_one = [&](std::int64_t i) {
     KernelConfig cfg = raw[static_cast<std::size_t>(i)];
-    if (escalate_budget) {
-      cfg.max_registers = settled_budget(ctx.factory, cfg, ctx.opts);
-    }
+    // Scoring is silent: a survivor's later (counted) escalation stays
+    // the first and only one observed.
+    const BuiltPlan built =
+        escalate_budget ? build_escalated(ctx.factory, cfg, ctx.opts, nullptr)
+                        : build_candidate(ctx.factory, cfg);
     double s = std::numeric_limits<double>::infinity();
-    try {
+    if (built.plan) {
       const gpumodel::KernelEval ev =
-          gpumodel::evaluate(ctx.factory(cfg), ctx.dev, ctx.params);
+          gpumodel::evaluate(*built.plan, ctx.dev, ctx.params);
       if (ev.valid) s = ev.time_s;
-    } catch (const PlanError&) {
     }
     scores[static_cast<std::size_t>(i)] = s;
   };
@@ -496,7 +526,7 @@ std::vector<KernelConfig> model_prefilter(EvalContext& ctx, TaskPool* pool,
 /// which is exactly the serial schedule for them.
 void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
                     std::vector<KernelConfig> raw, bool escalate_budget,
-                    int& evaluated_counter, std::vector<Candidate>& board) {
+                    int& evaluated_counter, Leaderboard& board) {
   // Model-guided pruning happens before anything else sees the sweep:
   // the survivors flow through the unchanged evaluate/commit machinery,
   // so a pruned sweep is bit-indistinguishable from enumerating only the
@@ -515,12 +545,11 @@ void run_candidates(EvalContext& ctx, TaskPool* pool, const char* stage,
   };
 
   const auto prepare = [&](KernelConfig cfg, Prepared& p) {
-    if (escalate_budget) {
-      const auto budget =
-          spill_free_budget(ctx.factory, cfg, ctx.opts, &p.spill_pruned);
-      cfg.max_registers = budget.value_or(ctx.opts.register_budgets.back());
-    }
-    p.eo = evaluate_candidate(ctx, cfg);
+    const BuiltPlan built =
+        escalate_budget
+            ? build_escalated(ctx.factory, cfg, ctx.opts, &p.spill_pruned)
+            : build_candidate(ctx.factory, cfg);
+    p.eo = evaluate_candidate(ctx, cfg, built);
     p.cfg = std::move(cfg);
   };
 
@@ -648,6 +677,24 @@ void record_space_coverage(const char* stage, std::int64_t enumerated,
 
 }  // namespace
 
+PlanFactory template_factory(const ir::Program& prog,
+                             std::vector<ir::BoundStencil> stages,
+                             const gpumodel::DeviceSpec& dev,
+                             const codegen::BuildOptions& opts) {
+  std::shared_ptr<const codegen::PlanTemplate> tmpl;
+  std::exception_ptr error;
+  try {
+    tmpl = std::make_shared<const codegen::PlanTemplate>(
+        codegen::prepare_plan(prog, std::move(stages), opts));
+  } catch (...) {
+    error = std::current_exception();
+  }
+  return [tmpl, error, &dev](const KernelConfig& cfg) {
+    if (error) std::rethrow_exception(error);
+    return codegen::build_plan(*tmpl, cfg, dev);
+  };
+}
+
 int resolve_tune_jobs(const TuneOptions& opts) {
   // Nested searches (inner sweeps already running on a pool worker) drop
   // to 1 — one level of parallelism wins, and the inner serial path
@@ -721,7 +768,7 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
                              const gpumodel::ModelParams& params,
                              const TuneOptions& opts) {
   TuneResult result;
-  std::vector<Candidate> board;
+  Leaderboard board;
   EvalContext ctx(factory, dev, params, opts, &result);
   const int jobs = resolve_tune_jobs(opts);
   std::optional<TaskPool> pool_storage;
@@ -784,18 +831,17 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
 
   // ---- stage 2: low-impact toggles on the survivors ------------------------
   const telemetry::Span stage2_span("tune.stage2", "tune");
-  const std::vector<Candidate> survivors = board;
   std::vector<KernelConfig> variants;
-  for (const auto& s : survivors) {
-    const bool streaming = s.config.tiling != TilingScheme::Spatial3D;
+  for (const auto& s : board) {
+    const bool streaming = s.cand.config.tiling != TilingScheme::Spatial3D;
     if (opts.tune_prefetch && streaming) {
-      KernelConfig v = s.config;
+      KernelConfig v = s.cand.config;
       v.prefetch = true;
       variants.push_back(v);
     }
     if (opts.tune_concurrent_streaming && streaming && dims >= 2) {
       for (const int chunk : {32, 64, 128}) {
-        KernelConfig v = s.config;
+        KernelConfig v = s.cand.config;
         v.tiling = TilingScheme::StreamConcurrent;
         v.stream_chunk = chunk;
         variants.push_back(v);
@@ -807,7 +853,7 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
     }
     if (opts.tune_perspective) {
       for (const Perspective p : {Perspective::Input, Perspective::Mixed}) {
-        KernelConfig v = s.config;
+        KernelConfig v = s.cand.config;
         v.perspective = p;
         variants.push_back(v);
       }
@@ -823,8 +869,7 @@ TuneResult hierarchical_tune(const PlanFactory& factory,
   }
   settle_model_rank(ctx);
   result.quarantined = ctx.runner.quarantined_count();
-  result.best = board.front();
-  result.leaderboard = std::move(board);
+  settle_board(std::move(board), result);
   return result;
 }
 
@@ -834,7 +879,7 @@ TuneResult exhaustive_tune(const PlanFactory& factory,
                            const gpumodel::ModelParams& params,
                            const TuneOptions& opts) {
   TuneResult result;
-  std::vector<Candidate> board;
+  Leaderboard board;
   EvalContext ctx(factory, dev, params, opts, &result);
   const int jobs = resolve_tune_jobs(opts);
   std::optional<TaskPool> pool_storage;
@@ -909,8 +954,7 @@ TuneResult exhaustive_tune(const PlanFactory& factory,
   }
   settle_model_rank(ctx);
   result.quarantined = ctx.runner.quarantined_count();
-  result.best = board.front();
-  result.leaderboard = std::move(board);
+  settle_board(std::move(board), result);
   return result;
 }
 
@@ -921,7 +965,7 @@ TuneResult random_tune(const PlanFactory& factory,
                        const TuneOptions& opts, int budget,
                        std::uint64_t rng_seed) {
   TuneResult result;
-  std::vector<Candidate> board;
+  Leaderboard board;
   EvalContext ctx(factory, dev, params, opts, &result);
   const int jobs = resolve_tune_jobs(opts);
   std::optional<TaskPool> pool_storage;
@@ -974,8 +1018,7 @@ TuneResult random_tune(const PlanFactory& factory,
   }
   settle_model_rank(ctx);
   result.quarantined = ctx.runner.quarantined_count();
-  result.best = board.front();
-  result.leaderboard = std::move(board);
+  settle_board(std::move(board), result);
   return result;
 }
 

@@ -23,8 +23,23 @@ constexpr int kTunerVersion = 1;
 /// Builds a plan for a candidate configuration. Implementations wrap
 /// codegen::build_plan with the appropriate stage list and BuildOptions;
 /// throwing PlanError marks the configuration infeasible.
+///
+/// Contract: `max_registers` is a compiler budget, not a plan decision.
+/// It may affect the plan only through `plan.config.max_registers`, and
+/// whether a config is feasible may not depend on it. Stage-1 register
+/// escalation relies on this: it builds each candidate once, settles the
+/// budget from that plan's register estimate, and evaluates the same plan
+/// with `plan.config.max_registers` set to the settled budget.
 using PlanFactory =
     std::function<codegen::KernelPlan(const codegen::KernelConfig&)>;
+
+/// The PlanFactory of one stage list: prepares its codegen::PlanTemplate
+/// once and instantiates it per config. When preparation throws, every
+/// call rethrows that exception, as the one-shot build_plan would.
+PlanFactory template_factory(const ir::Program& prog,
+                             std::vector<ir::BoundStencil> stages,
+                             const gpumodel::DeviceSpec& dev,
+                             const codegen::BuildOptions& opts = {});
 
 /// Search-space pruning rules (Section V): powers of two, block dims in
 /// [4, 256], unroll bounded by 8 (bandwidth-bound) or 4 (compute-bound).

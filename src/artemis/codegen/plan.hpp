@@ -115,6 +115,10 @@ struct KernelPlan {
   /// Shared memory consumed per block, derived by the resource mapper.
   std::int64_t shmem_bytes_per_block = 0;
 
+  /// Register-pressure shape of all stages' statements (the per-point
+  /// terms of gpumodel::estimate_registers).
+  ir::StmtPressure pressure;
+
   /// Iterator names of the source program (outermost first), for emission.
   std::vector<std::string> iterators;
 

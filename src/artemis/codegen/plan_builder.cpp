@@ -13,24 +13,6 @@ namespace artemis::codegen {
 
 namespace {
 
-/// Count the syntactic accesses (reads + writes) to each array across all
-/// stages; the rationing loop demotes the least-accessed buffer first
-/// (Section II-B2: "choose a shared memory buffer with minimum number of
-/// accesses, and demote its storage to global memory").
-std::map<std::string, std::int64_t> count_accesses(
-    const std::vector<ir::BoundStencil>& stages) {
-  std::map<std::string, std::int64_t> counts;
-  for (const auto& stage : stages) {
-    for (const auto& st : stage.stmts) {
-      if (!st.declares_local) ++counts[st.lhs_name];
-      ir::visit(*st.rhs, [&](const ir::Expr& e) {
-        if (e.kind == ir::ExprKind::ArrayRef) ++counts[e.name];
-      });
-    }
-  }
-  return counts;
-}
-
 /// Per-block shared memory bytes for the current placement.
 std::int64_t compute_shmem_bytes(const KernelPlan& plan) {
   const auto& cfg = plan.config;
@@ -126,16 +108,13 @@ KernelConfig config_from_pragma(const ir::Program& prog,
   return cfg;
 }
 
-KernelPlan build_plan(const ir::Program& prog,
-                      std::vector<ir::BoundStencil> stages,
-                      const KernelConfig& config,
-                      const gpumodel::DeviceSpec& dev,
-                      const BuildOptions& opts) {
+PlanTemplate prepare_plan(const ir::Program& prog,
+                          std::vector<ir::BoundStencil> stages,
+                          const BuildOptions& opts) {
   ARTEMIS_CHECK_MSG(!stages.empty(), "cannot plan an empty stage list");
 
-  KernelPlan plan;
-  plan.config = config;
-  plan.time_tile = config.time_tile;
+  PlanTemplate tmpl;
+  KernelPlan& plan = tmpl.base;
   plan.dims = static_cast<int>(prog.iterators.size());
   plan.iterators = prog.iterators;
 
@@ -256,26 +235,6 @@ KernelPlan build_plan(const ir::Program& prog,
     plan.domain = {dims_zyx[0], dims_zyx[1], dims_zyx[2]};
   }
 
-  // Launch validity.
-  if (config.threads_per_block() > dev.max_threads_per_block) {
-    throw PlanError(str_cat("block of ", config.threads_per_block(),
-                            " threads exceeds device limit ",
-                            dev.max_threads_per_block));
-  }
-  for (int a = 0; a < 3; ++a) {
-    if (config.block[static_cast<std::size_t>(a)] < 1 ||
-        config.unroll[static_cast<std::size_t>(a)] < 1) {
-      throw PlanError("block and unroll factors must be >= 1");
-    }
-  }
-  if (config.tiling != TilingScheme::Spatial3D &&
-      (config.stream_axis < 0 || config.stream_axis >= plan.dims)) {
-    throw PlanError("stream axis out of range");
-  }
-  if (config.tiling != TilingScheme::Spatial3D && plan.dims < 2) {
-    throw PlanError("streaming requires a 2D or 3D domain");
-  }
-
   // Internal arrays: outputs of non-final stages consumed only inside the
   // plan and not copied out.
   if (opts.fuse_internal && stages.size() > 1) {
@@ -307,28 +266,6 @@ KernelPlan build_plan(const ir::Program& prog,
         }
       }
     }
-  }
-
-  // Retiming (Section III-B2): legal only when every decomposed
-  // sub-statement is homogenizable along the streaming iterator.
-  if (config.retime && config.tiling != TilingScheme::Spatial3D) {
-    const int stream_iter = plan.dims - 1 - config.stream_axis;
-    bool all = true;
-    for (const auto& stage : stages) {
-      const auto rt = transform::try_retime(stage.stmts, stream_iter);
-      all &= rt.applied;
-    }
-    plan.retimed = all;
-  }
-
-  // Folding (Section III-B4).
-  if (config.fold) {
-    std::vector<ir::Stmt> all_stmts;
-    for (const auto& stage : stages) {
-      all_stmts.insert(all_stmts.end(), stage.stmts.begin(),
-                       stage.stmts.end());
-    }
-    plan.fold_groups = transform::find_fold_groups(all_stmts);
   }
 
   // --- residency assignment --------------------------------------------
@@ -365,6 +302,86 @@ KernelPlan build_plan(const ir::Program& prog,
     plan.placement[name] = pl;
   }
 
+  std::vector<const std::vector<ir::Stmt>*> lists;
+  for (const auto& stage : stages) lists.push_back(&stage.stmts);
+  plan.pressure = ir::stmt_pressure(lists, &tmpl.accesses);
+  plan.stages = std::move(stages);
+  return tmpl;
+}
+
+bool PlanTemplate::retime_legal(int stream_iter) const {
+  const auto i = static_cast<std::size_t>(stream_iter);
+  ARTEMIS_CHECK_MSG(i < lazy->retime_ok.size(),
+                    "stream iterator out of range");
+  std::call_once(lazy->retime_once[i], [&] {
+    bool all = true;
+    for (const auto& stage : base.stages) {
+      all &= transform::try_retime(stage.stmts, stream_iter).applied;
+    }
+    lazy->retime_ok[i] = all;
+  });
+  return lazy->retime_ok[i];
+}
+
+const std::vector<std::vector<std::string>>& PlanTemplate::fold_groups()
+    const {
+  std::call_once(lazy->fold_once, [&] {
+    std::vector<ir::Stmt> all_stmts;
+    for (const auto& stage : base.stages) {
+      all_stmts.insert(all_stmts.end(), stage.stmts.begin(),
+                       stage.stmts.end());
+    }
+    lazy->fold_groups = transform::find_fold_groups(all_stmts);
+  });
+  return lazy->fold_groups;
+}
+
+namespace {
+
+/// The per-config half of plan construction. The plan starts as a copy of
+/// the template's base or, when `movable_base` is set (a one-shot build
+/// that owns its template), as that base moved in; everything that reads
+/// the template's stages runs before the move.
+KernelPlan instantiate(const PlanTemplate& tmpl, KernelPlan* movable_base,
+                       const KernelConfig& config,
+                       const gpumodel::DeviceSpec& dev) {
+  const int dims = tmpl.base.dims;
+  // Launch validity.
+  if (config.threads_per_block() > dev.max_threads_per_block) {
+    throw PlanError(str_cat("block of ", config.threads_per_block(),
+                            " threads exceeds device limit ",
+                            dev.max_threads_per_block));
+  }
+  for (int a = 0; a < 3; ++a) {
+    if (config.block[static_cast<std::size_t>(a)] < 1 ||
+        config.unroll[static_cast<std::size_t>(a)] < 1) {
+      throw PlanError("block and unroll factors must be >= 1");
+    }
+  }
+  if (config.tiling != TilingScheme::Spatial3D &&
+      (config.stream_axis < 0 || config.stream_axis >= dims)) {
+    throw PlanError("stream axis out of range");
+  }
+  if (config.tiling != TilingScheme::Spatial3D && dims < 2) {
+    throw PlanError("streaming requires a 2D or 3D domain");
+  }
+
+  // Retiming (Section III-B2): legal only when every decomposed
+  // sub-statement is homogenizable along the streaming iterator.
+  const bool retimed = config.retime &&
+                       config.tiling != TilingScheme::Spatial3D &&
+                       tmpl.retime_legal(dims - 1 - config.stream_axis);
+  // Folding (Section III-B4).
+  const std::vector<std::vector<std::string>>* folds =
+      config.fold ? &tmpl.fold_groups() : nullptr;
+
+  KernelPlan plan = movable_base != nullptr ? std::move(*movable_base)
+                                            : tmpl.base;
+  plan.config = config;
+  plan.time_tile = config.time_tile;
+  plan.retimed = retimed;
+  if (folds != nullptr) plan.fold_groups = *folds;
+
   // Attach fold groups to placements (fold only shared buffers).
   for (std::size_t g = 0; g < plan.fold_groups.size(); ++g) {
     bool all_shared = true;
@@ -382,7 +399,6 @@ KernelPlan build_plan(const ir::Program& prog,
 
   // --- resource rationing -------------------------------------------------
   plan.shmem_bytes_per_block = compute_shmem_bytes(plan);
-  const auto accesses = count_accesses(stages);
 
   // Without an occupancy target there is no rationing: like the naive
   // generators of Section II-B1, an over-capacity mapping simply forces a
@@ -425,8 +441,8 @@ KernelPlan build_plan(const ir::Program& prog,
                     name) != plan.internal_arrays.end()) {
         continue;
       }
-      const auto it = accesses.find(name);
-      const std::int64_t n = it == accesses.end() ? 0 : it->second;
+      const auto it = tmpl.accesses.find(name);
+      const std::int64_t n = it == tmpl.accesses.end() ? 0 : it->second;
       if (victim.empty() || n < victim_accesses) {
         victim = name;
         victim_accesses = n;
@@ -444,8 +460,23 @@ KernelPlan build_plan(const ir::Program& prog,
     plan.shmem_bytes_per_block = compute_shmem_bytes(plan);
   }
 
-  plan.stages = std::move(stages);
   return plan;
+}
+
+}  // namespace
+
+KernelPlan build_plan(const PlanTemplate& tmpl, const KernelConfig& config,
+                      const gpumodel::DeviceSpec& dev) {
+  return instantiate(tmpl, nullptr, config, dev);
+}
+
+KernelPlan build_plan(const ir::Program& prog,
+                      std::vector<ir::BoundStencil> stages,
+                      const KernelConfig& config,
+                      const gpumodel::DeviceSpec& dev,
+                      const BuildOptions& opts) {
+  PlanTemplate tmpl = prepare_plan(prog, std::move(stages), opts);
+  return instantiate(tmpl, &tmpl.base, config, dev);
 }
 
 KernelPlan build_plan_for_call(const ir::Program& prog,

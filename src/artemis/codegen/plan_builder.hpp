@@ -1,5 +1,11 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "artemis/codegen/plan.hpp"
@@ -17,22 +23,65 @@ struct BuildOptions {
   bool fuse_internal = true;
 };
 
-/// Construct a fully-resolved KernelPlan for a (possibly fused) sequence
-/// of bound stencils.
-///
-/// Responsibilities (Sections II-B, III, VI):
-///  - merge per-stage analysis into combined info, halo radii, domain;
-///  - resolve array residency: user `#assign` pins are honored verbatim,
-///    remaining arrays follow the default heuristic (everything reusable
-///    into shared memory when enabled — deliberately naive, the profiler
-///    and the expert override refine it);
+/// The configuration-independent half of plan construction: everything
+/// that follows from the program, the stage list and the BuildOptions
+/// alone. Prepare it once per stage list, then instantiate it for each
+/// candidate config with build_plan(const PlanTemplate&, ...).
+struct PlanTemplate {
+  /// A plan with every config-independent field resolved: merged
+  /// analysis, radii, stage expansions and effective halos, the output
+  /// domain, internal and materialized arrays, the default residency
+  /// (user pins, then the naive heuristic) and the register pressure. Its
+  /// config-dependent fields are left at their defaults.
+  KernelPlan base;
+  /// Syntactic reads + writes per array across all stages. The rationing
+  /// loop demotes the least-accessed shared buffer first (Section II-B2:
+  /// "choose a shared memory buffer with minimum number of accesses, and
+  /// demote its storage to global memory").
+  std::map<std::string, std::int64_t> accesses;
+
+  /// Whether every stage retimes along program iterator `stream_iter`.
+  bool retime_legal(int stream_iter) const;
+  /// Foldable buffer groups over all stages' statements.
+  const std::vector<std::vector<std::string>>& fold_groups() const;
+
+  /// The two analyses above, each computed on first request and then
+  /// memoized (thread-safe). Only configs that request retiming or
+  /// folding need them, and they cost more than the rest of the template
+  /// together.
+  struct Lazy {
+    std::array<std::once_flag, 3> retime_once;
+    std::array<bool, 3> retime_ok = {false, false, false};
+    std::once_flag fold_once;
+    std::vector<std::vector<std::string>> fold_groups;
+  };
+  std::unique_ptr<Lazy> lazy = std::make_unique<Lazy>();
+};
+
+/// Merge per-stage analysis into combined info, halo radii and domain,
+/// find the arrays internal to a fused plan, and resolve the default
+/// residency: user `#assign` pins are honored verbatim, remaining arrays
+/// follow the default heuristic (everything reusable into shared memory
+/// when enabled — deliberately naive, the profiler and the expert
+/// override refine it). Throws PlanError when the stages write no array.
+PlanTemplate prepare_plan(const ir::Program& prog,
+                          std::vector<ir::BoundStencil> stages,
+                          const BuildOptions& opts = {});
+
+/// Instantiate a template for one config (Sections II-B, III, VI):
+///  - check the launch against the device;
 ///  - apply storage folding and retiming when requested and legal;
 ///  - compute shared memory per block and run the resource-rationing loop:
 ///    while the target occupancy (or device capacity) is not achievable,
 ///    demote the shared array with the fewest accesses to global memory.
 ///
 /// Throws PlanError for launches the device can never run (block too big,
-/// zero-sized tiles).
+/// zero-sized tiles). Safe to call concurrently on one template.
+KernelPlan build_plan(const PlanTemplate& tmpl, const KernelConfig& config,
+                      const gpumodel::DeviceSpec& dev);
+
+/// Construct a fully-resolved KernelPlan for a (possibly fused) sequence
+/// of bound stencils: prepare_plan followed by one instantiation.
 KernelPlan build_plan(const ir::Program& prog,
                       std::vector<ir::BoundStencil> stages,
                       const KernelConfig& config,

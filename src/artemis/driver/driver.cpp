@@ -78,9 +78,7 @@ autotune::TuneResult tune_stages(const ir::Program& prog,
   const BuildOptions opts{.use_shared_memory = use_shmem,
                           .fuse_internal = true};
   const autotune::PlanFactory factory =
-      [&prog, stages, &dev, opts](const KernelConfig& cfg) {
-        return codegen::build_plan(prog, stages, cfg, dev, opts);
-      };
+      autotune::template_factory(prog, stages, dev, opts);
 
   KernelConfig seed =
       codegen::config_from_pragma(prog, stages.front().pragma,

@@ -11,27 +11,11 @@ namespace artemis::gpumodel {
 namespace {
 
 /// Shared per-point terms: locals + operand + scheduling pressure.
-void per_point_terms(const std::vector<const std::vector<ir::Stmt>*>& lists,
-                     RegisterEstimate& est) {
-  std::set<std::string> locals;
-  std::int64_t widest_stmt_reads = 0;
-  std::int64_t flops = 0;
-  for (const auto* stmts : lists) {
-    for (const auto& st : *stmts) {
-      if (st.declares_local) locals.insert(st.lhs_name);
-      std::int64_t reads = 0;
-      ir::visit(*st.rhs, [&](const ir::Expr& e) {
-        if (e.kind == ir::ExprKind::ArrayRef) ++reads;
-      });
-      widest_stmt_reads = std::max(widest_stmt_reads, reads);
-      flops += ir::flop_count(*st.rhs);
-    }
-  }
-  est.locals = static_cast<int>(std::min<std::size_t>(locals.size(), 96));
+void per_point_terms(const ir::StmtPressure& p, RegisterEstimate& est) {
+  est.locals = static_cast<int>(std::min<std::int64_t>(p.locals, 96));
   est.operands = static_cast<int>(
-      std::min<std::int64_t>((widest_stmt_reads + 1) / 2, 48));
-  est.scheduling =
-      static_cast<int>(std::min<std::int64_t>(flops / 8, 320));
+      std::min<std::int64_t>((p.widest_reads + 1) / 2, 48));
+  est.scheduling = static_cast<int>(std::min<std::int64_t>(p.flops / 8, 320));
 }
 
 }  // namespace
@@ -39,7 +23,7 @@ void per_point_terms(const std::vector<const std::vector<ir::Stmt>*>& lists,
 int estimate_registers_for_stmts(const std::vector<ir::Stmt>& stmts) {
   RegisterEstimate est;
   est.base = 20;
-  per_point_terms({&stmts}, est);
+  per_point_terms(ir::stmt_pressure({&stmts}), est);
   return est.base + est.locals + est.operands + est.scheduling;
 }
 
@@ -52,10 +36,10 @@ RegisterEstimate estimate_registers(const codegen::KernelPlan& plan) {
 
   // Live scalar temporaries: all locals may be live simultaneously in the
   // worst case (SW4-style kernels compute dozens of mu/la combinations
-  // before the accumulation statements consume them).
-  std::vector<const std::vector<ir::Stmt>*> lists;
-  for (const auto& stage : plan.stages) lists.push_back(&stage.stmts);
-  per_point_terms(lists, est);
+  // before the accumulation statements consume them). The statement
+  // shape is fixed by the stage list, so the plan builder measures it
+  // once per plan template.
+  per_point_terms(plan.pressure, est);
 
   const bool streaming = plan.config.tiling != TilingScheme::Spatial3D;
   const std::int64_t uprod = plan.config.unroll_product();

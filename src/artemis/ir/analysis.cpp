@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <string_view>
 
 #include "artemis/common/check.hpp"
 #include "artemis/common/str.hpp"
@@ -161,6 +162,33 @@ StencilInfo analyze(const Program& prog, const BoundStencil& bound) {
   info.order = *std::max_element(info.radius.begin(), info.radius.end());
   info.num_io_arrays = static_cast<int>(info.arrays.size());
   return info;
+}
+
+StmtPressure stmt_pressure(const std::vector<const std::vector<Stmt>*>& lists,
+                           std::map<std::string, std::int64_t>* accesses) {
+  StmtPressure p;
+  std::set<std::string_view> locals;  // views of the statements' names
+  for (const auto* stmts : lists) {
+    for (const auto& st : *stmts) {
+      if (st.declares_local) {
+        locals.insert(st.lhs_name);
+      } else if (accesses != nullptr) {
+        ++(*accesses)[st.lhs_name];
+      }
+      std::int64_t reads = 0;
+      visit(*st.rhs, [&](const Expr& e) {
+        if (e.kind == ExprKind::ArrayRef) {
+          ++reads;
+          if (accesses != nullptr) ++(*accesses)[e.name];
+        } else if (is_flop(e.kind)) {
+          ++p.flops;
+        }
+      });
+      p.widest_reads = std::max(p.widest_reads, reads);
+    }
+  }
+  p.locals = static_cast<std::int64_t>(locals.size());
+  return p;
 }
 
 StmtGraph build_stmt_graph(const std::vector<Stmt>& stmts) {

@@ -72,6 +72,21 @@ struct StencilInfo {
 /// Analyze a bound stencil against its program (for array dimensionality).
 StencilInfo analyze(const Program& prog, const BoundStencil& bound);
 
+/// Statement shape that drives per-point register pressure (the locals,
+/// operand and scheduling terms of gpumodel::estimate_registers).
+struct StmtPressure {
+  std::int64_t locals = 0;        ///< distinct scalar temporaries
+  std::int64_t widest_reads = 0;  ///< array reads of the widest statement
+  std::int64_t flops = 0;         ///< FLOPs of every right-hand side
+};
+
+/// Pressure of the concatenation of `lists` (a local declared in two
+/// lists counts once). When `accesses` is given, the same walk also
+/// counts the syntactic accesses (reads + array writes) to each array.
+StmtPressure stmt_pressure(
+    const std::vector<const std::vector<Stmt>*>& lists,
+    std::map<std::string, std::int64_t>* accesses = nullptr);
+
 /// Statement-level dependence graph within one stencil (used by
 /// decomposition, retiming and fission). edges[i] lists statements that
 /// depend on statement i (RAW through local temps or arrays).

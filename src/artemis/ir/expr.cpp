@@ -162,15 +162,7 @@ bool equal(const Expr& a, const Expr& b) {
 std::int64_t flop_count(const Expr& e) {
   std::int64_t flops = 0;
   visit(e, [&flops](const Expr& n) {
-    switch (n.kind) {
-      case ExprKind::Unary:
-      case ExprKind::Binary:
-      case ExprKind::Call:
-        ++flops;
-        break;
-      default:
-        break;
-    }
+    if (is_flop(n.kind)) ++flops;
   });
   return flops;
 }

@@ -77,9 +77,16 @@ std::string to_string(const Expr& e, const std::vector<std::string>& iters);
 /// Structural equality (deep).
 bool equal(const Expr& a, const Expr& b);
 
-/// Count of floating-point operations in the tree: each binary op, unary
-/// negation, and intrinsic call contributes 1 (the convention used to
-/// reproduce the paper's Table I FLOP column).
+/// Whether a node of this kind is one floating-point operation: each
+/// binary op, unary negation, and intrinsic call is (the convention used
+/// to reproduce the paper's Table I FLOP column).
+constexpr bool is_flop(ExprKind kind) {
+  return kind == ExprKind::Unary || kind == ExprKind::Binary ||
+         kind == ExprKind::Call;
+}
+
+/// Count of floating-point operations in the tree (nodes whose kind
+/// is_flop).
 std::int64_t flop_count(const Expr& e);
 
 /// Visit every node in the tree (pre-order).

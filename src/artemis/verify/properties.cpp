@@ -389,10 +389,7 @@ CheckResult check_tuner_determinism(const ir::Program& prog,
   const gpumodel::ModelParams params;
   const int dims = static_cast<int>(prog.iterators.size());
   const autotune::PlanFactory factory =
-      [&](const codegen::KernelConfig& cfg) {
-        return codegen::build_plan(prog, transform::bind_all_calls(prog),
-                                   cfg, dev, {});
-      };
+      autotune::template_factory(prog, transform::bind_all_calls(prog), dev);
   const codegen::KernelConfig seed_cfg =
       codegen::config_from_pragma(prog, prog.stencils.front().pragma, dims);
 

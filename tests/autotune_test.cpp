@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "artemis/autotune/deep_tuning.hpp"
 #include "artemis/autotune/search.hpp"
+#include "artemis/autotune/tuning_cache.hpp"
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/stencils/benchmarks.hpp"
 #include "test_programs.hpp"
@@ -120,6 +125,112 @@ TEST_F(AutotuneTest, RegisterEscalationSkipsSpillingBudgets) {
   // must have skipped small budgets.
   EXPECT_GT(r.skipped_spilling, 0);
   EXPECT_GE(r.best.config.max_registers, 128);
+}
+
+TEST_F(AutotuneTest, StageOneBuildsEachCandidateOnce) {
+  // Register escalation settles the budget from one build per candidate
+  // and evaluates that same plan, so stage 1 calls the factory once per
+  // enumerated candidate (plus the one seed build that infers the
+  // dimensionality), however many budgets spill, at any jobs value.
+  const auto prog = stencils::benchmark_program("rhs4center", 64);
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    std::atomic<int> calls{0};
+    const PlanFactory factory = [&](const KernelConfig& cfg) {
+      ++calls;
+      return codegen::build_plan_for_call(prog, prog.steps[0].call, cfg,
+                                          dev_);
+    };
+    TuneOptions opts;
+    opts.max_block = 32;
+    opts.tune_prefetch = false;  // no stage-2 variants: stage 1 only
+    opts.tune_perspective = false;
+    opts.tune_concurrent_streaming = false;
+    opts.jobs = jobs;
+    const TuneResult r = hierarchical_tune(factory, KernelConfig{}, dev_,
+                                           params_, opts);
+    std::size_t enumerated = 0;
+    for (const bool streaming : {false, true}) {
+      enumerated += candidate_blocks(3, streaming, opts).size() *
+                    candidate_unrolls(3, opts).size();
+    }
+    EXPECT_EQ(r.evaluated_stage1, static_cast<int>(enumerated));
+    EXPECT_EQ(r.evaluated_stage2, 0);
+    EXPECT_EQ(calls.load(), 1 + r.evaluated_stage1);
+    EXPECT_GT(r.skipped_spilling, r.evaluated_stage1 - r.infeasible);
+    EXPECT_GE(r.best.config.max_registers, 128);
+  }
+}
+
+TEST_F(AutotuneTest, EverySweepBuildsOutsideTheRunnerDeadline) {
+  // Every sweep builds a candidate's plan once, before the runner, so the
+  // runner's deadline times the evaluation alone. A build slower than the
+  // deadline must not turn any candidate into a timeout, in stage 1,
+  // stage 2 or the random sweep, and the result matches the run without
+  // a deadline.
+  const auto prog = stencils::benchmark_program("rhs4center", 64);
+  std::atomic<int> calls{0};
+  const PlanFactory slow = [&](const KernelConfig& cfg) {
+    ++calls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+    return codegen::build_plan_for_call(prog, prog.steps[0].call, cfg,
+                                        dev_);
+  };
+  TuneOptions opts;
+  opts.min_block = 8;
+  opts.max_block = 16;
+  opts.disable_unroll = true;
+  TuneOptions armed = opts;
+  armed.runner.deadline_ms = 5;
+
+  const TuneResult plain =
+      hierarchical_tune(factory_for(prog), KernelConfig{}, dev_, params_,
+                        opts);
+  const TuneResult r =
+      hierarchical_tune(slow, KernelConfig{}, dev_, params_, armed);
+  EXPECT_GT(r.evaluated_stage2, 0);
+  EXPECT_EQ(r.timed_out, 0);
+  EXPECT_EQ(calls.load(), 1 + r.total_evaluated());
+  EXPECT_EQ(serialize_config(r.best.config),
+            serialize_config(plain.best.config));
+
+  calls = 0;
+  const TuneResult rp = random_tune(factory_for(prog), KernelConfig{}, dev_,
+                                    params_, opts, 6, 3);
+  const TuneResult rr =
+      random_tune(slow, KernelConfig{}, dev_, params_, armed, 6, 3);
+  EXPECT_EQ(rr.timed_out, 0);
+  EXPECT_EQ(calls.load(), 1 + rr.total_evaluated());
+  EXPECT_EQ(serialize_config(rr.best.config),
+            serialize_config(rp.best.config));
+}
+
+TEST_F(AutotuneTest, TemplateFactoryRethrowsPreparationErrors) {
+  // A stage list whose preparation fails yields a factory that throws the
+  // one-shot build's PlanError on every call, so the tuner still sees
+  // each candidate as infeasible.
+  const ir::Program prog = stencils::benchmark_program("7pt-smoother", 32);
+  std::vector<ir::BoundStencil> stages = {
+      ir::bind_call(prog, prog.steps[0].body[0].call)};
+  for (auto& st : stages[0].stmts) st.declares_local = true;
+  std::string one_shot;
+  try {
+    (void)codegen::build_plan(prog, stages, KernelConfig{}, dev_);
+  } catch (const PlanError& e) {
+    one_shot = e.what();
+  }
+  ASSERT_FALSE(one_shot.empty());
+  const PlanFactory factory = template_factory(prog, stages, dev_);
+  for (int call = 0; call < 2; ++call) {
+    try {
+      (void)factory(KernelConfig{});
+      ADD_FAILURE() << "factory built a plan";
+    } catch (const PlanError& e) {
+      EXPECT_EQ(e.what(), one_shot);
+    }
+  }
+  EXPECT_THROW(hierarchical_tune(factory, KernelConfig{}, dev_, params_),
+               PlanError);
 }
 
 TEST_F(AutotuneTest, InfeasibleSpaceThrowsPlanError) {
