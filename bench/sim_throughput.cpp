@@ -11,17 +11,23 @@
 //                 (SimEngine::Native, strict mode), one worker;
 //   parallel   -- the native engine with the work-stealing block sweep.
 //
-// All four produce bit-identical grids (cross-checked here); the
+// Beside them, `reference` times run_program_reference (the untiled
+// oracle every functional run is checked against: the bytecode engine's
+// row-batched interior, parallel over z) on the same points.
+//
+// All of them produce bit-identical grids (cross-checked here); the
 // differential test suite (bytecode_sim_test, native_engine_test) proves
 // the stronger per-counter/per-trace equivalences. Results are written to
-// a machine-readable JSON report (--out, default BENCH_sim.json) consumed
-// by the CI smoke check, which asserts compiled >= tree-walk and native >=
+// a machine-readable JSON report (--out, default BENCH_sim.json) with a
+// `host` block (hardware threads, native tier, build type), consumed by
+// the CI smoke check, which asserts compiled >= tree-walk and native >=
 // bytecode on every kernel.
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <thread>
 
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/common/json.hpp"
@@ -31,6 +37,7 @@
 #include "artemis/gpumodel/device.hpp"
 #include "artemis/sim/executor.hpp"
 #include "artemis/sim/native/native.hpp"
+#include "artemis/sim/reference.hpp"
 #include "artemis/stencils/benchmarks.hpp"
 
 using namespace artemis;
@@ -62,6 +69,25 @@ RunOutcome run_once(const ir::Program& prog,
                                             t0)
                   .count();
   return r;
+}
+
+/// The reference interpreter over the whole program, best of `reps`.
+RunOutcome best_reference(const ir::Program& prog, std::uint64_t seed,
+                          int reps) {
+  RunOutcome best{sim::GridSet{}, 0, 0};
+  for (int r = 0; r < reps; ++r) {
+    sim::GridSet gs = sim::GridSet::from_program(prog, seed);
+    const auto t0 = std::chrono::steady_clock::now();
+    sim::run_program_reference(prog, gs);
+    const double dt = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    if (r == 0 || dt < best.seconds) {
+      best.seconds = dt;
+      best.gs = std::move(gs);
+    }
+  }
+  return best;
 }
 
 bool outputs_identical(const ir::Program& prog, const sim::GridSet& a,
@@ -113,14 +139,21 @@ int main(int argc, char** argv) {
   const int par_jobs = jobs > 0 ? jobs : default_jobs();
 
   TablePrinter table({"kernel", "points", "treewalk pts/s", "bytecode pts/s",
-                      "native pts/s", "parallel pts/s", "compiled x",
-                      "native x", "parallel x", "identical"});
+                      "native pts/s", "parallel pts/s", "reference pts/s",
+                      "compiled x", "native x", "parallel x", "identical"});
   Json report = Json::object();
   report.set("extent", Json(extent));
   report.set("reps", Json(reps));
   report.set("parallel_jobs", Json(par_jobs));
   report.set("native_tier",
              Json(sim::native::tier_name(sim::native::active_tier())));
+  Json host = Json::object();
+  host.set("nproc",
+           Json(static_cast<std::int64_t>(std::thread::hardware_concurrency())));
+  host.set("native_tier",
+           Json(sim::native::tier_name(sim::native::active_tier())));
+  host.set("build_type", Json(ARTEMIS_BUILD_TYPE));
+  report.set("host", std::move(host));
   Json rows = Json::array();
   bool all_identical = true;
 
@@ -174,18 +207,22 @@ int main(int argc, char** argv) {
     const double bc_pps = bc.points / bc.seconds;
     const double nat_pps = nat.points / nat.seconds;
     const double par_pps = par.points / par.seconds;
+    const RunOutcome ref = best_reference(prog, 42, reps);
+    const double ref_pps = tw.points / ref.seconds;
     const bool identical = outputs_identical(prog, tw.gs, bc.gs) &&
                            outputs_identical(prog, tw.gs, nat.gs) &&
                            outputs_identical(prog, tw.gs, par.gs);
-    all_identical = all_identical && identical;
+    const bool ref_identical = outputs_identical(prog, tw.gs, ref.gs);
+    all_identical = all_identical && identical && ref_identical;
 
     table.add_row({name, std::to_string(tw.points),
                    format_double(tw_pps, 4), format_double(bc_pps, 4),
                    format_double(nat_pps, 4), format_double(par_pps, 4),
+                   format_double(ref_pps, 4),
                    format_double(bc_pps / tw_pps, 3),
                    format_double(nat_pps / bc_pps, 3),
                    format_double(par_pps / tw_pps, 3),
-                   identical ? "yes" : "NO"});
+                   identical && ref_identical ? "yes" : "NO"});
 
     Json row = Json::object();
     row.set("kernel", Json(name));
@@ -195,10 +232,12 @@ int main(int argc, char** argv) {
     row.set("bytecode_pps", Json(bc_pps));
     row.set("native_pps", Json(nat_pps));
     row.set("parallel_pps", Json(par_pps));
+    row.set("reference_pps", Json(ref_pps));
     row.set("speedup_compiled", Json(bc_pps / tw_pps));
     row.set("speedup_native", Json(nat_pps / bc_pps));
     row.set("speedup_parallel", Json(par_pps / tw_pps));
     row.set("outputs_identical", Json(identical));
+    row.set("reference_identical", Json(ref_identical));
     rows.push_back(std::move(row));
   }
   report.set("kernels", std::move(rows));

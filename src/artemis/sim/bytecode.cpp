@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "artemis/common/check.hpp"
 #include "artemis/common/str.hpp"
+#include "artemis/sim/forwarding.hpp"
 
 namespace artemis::sim {
 
@@ -418,6 +420,203 @@ bool exec_point(const CompiledStencil& cs, const ArrayView* views,
   return true;
 }
 
+/// Per-sweep state of the row-batched interior: one kRow-wide column per
+/// stack slot (plus one for StoreAccum's read), local slot and store slot,
+/// and each access's flat-index stride along x under the sweep's views.
+struct RowScratch {
+  std::vector<double> stack;
+  std::vector<double> locals;
+  std::vector<double> stores;
+  std::vector<std::int64_t> x_stride;       ///< per access
+  std::vector<const BcAccess*> store_acc;   ///< per store ordinal
+  std::int64_t greads_pp = 0;               ///< memory reads per point
+  std::int64_t sreads_pp = 0;
+
+  RowScratch(const CompiledStencil& cs, const Forwarding& fwd,
+             const ArrayView* views)
+      : stack(static_cast<std::size_t>((cs.max_stack + 1) * kRow)),
+        locals(static_cast<std::size_t>(std::max(1, cs.n_locals) * kRow)),
+        stores(static_cast<std::size_t>(std::max(1, cs.n_stores) * kRow)) {
+    for (const BcAccess& a : cs.accesses) {
+      const ArrayView& v = views[a.array];
+      const std::int64_t per_dim[3] = {v.wy * v.wx, v.wx, 1};
+      std::int64_t stride = 0;
+      for (std::size_t d = 0; d < 3; ++d) {
+        if (a.sel[d] == 2) stride += per_dim[d];
+      }
+      x_stride.push_back(stride);
+    }
+    for (std::size_t pc = 0; pc < cs.code.size(); ++pc) {
+      const BcInstr& ins = cs.code[pc];
+      if (ins.op == BcOp::Store || ins.op == BcOp::StoreAccum) {
+        store_acc.push_back(&cs.accesses[static_cast<std::size_t>(ins.a)]);
+      }
+      if ((ins.op == BcOp::Load || ins.op == BcOp::StoreAccum) &&
+          fwd.source[pc] < 0) {
+        ++(views[cs.accesses[static_cast<std::size_t>(ins.a)].array].scratch
+               ? sreads_pp
+               : greads_pp);
+      }
+    }
+  }
+};
+
+/// Execute points [x0, x0 + n) of interior row (z, y), n <= kRow, one
+/// instruction at a time over a column of values. Same-point forwarding
+/// was resolved statically (`fwd`), so every read either copies a store
+/// column or streams memory at a fixed x stride. Stores then commit per
+/// point in statement order, exactly exec_point's commit loop, so the
+/// last-writer order, the window check and the scratch flags are those of
+/// the per-point engine. Results are bit-identical to exec_point: each
+/// lane performs the same IEEE operations in the same order.
+void exec_row(const CompiledStencil& cs, const Forwarding& fwd,
+              const ArrayView* views, const double* scalars, RowScratch& rs,
+              std::int64_t z, std::int64_t y, std::int64_t x0, std::int64_t n,
+              const BcRegion& commit, bool drop_outside_commit,
+              BcCounters& c) {
+  double* sp = rs.stack.data();  // next free column
+  double* const locals = rs.locals.data();
+  double* const stores = rs.stores.data();
+  std::int32_t n_stored = 0;
+  const std::int64_t base[4] = {z, y, x0, 0};
+
+  // Column of the value accesses[ai] reads at the row's points: a store
+  // column when forwarded, else memory at the access's x stride.
+  const auto read_col = [&](std::size_t pc, std::int32_t ai, double* out) {
+    if (const std::int32_t s = fwd.source[pc]; s >= 0) {
+      std::copy_n(stores + s * kRow, n, out);
+      return;
+    }
+    const BcAccess& a = cs.accesses[static_cast<std::size_t>(ai)];
+    const ArrayView& v = views[a.array];
+    const double* src =
+        v.read + view_index(v, base[a.sel[0]] + a.off[0],
+                            base[a.sel[1]] + a.off[1],
+                            base[a.sel[2]] + a.off[2]);
+    const std::int64_t stride = rs.x_stride[static_cast<std::size_t>(ai)];
+    if (stride == 1) {
+      std::copy_n(src, n, out);
+    } else {
+      for (std::int64_t k = 0; k < n; ++k) out[k] = src[k * stride];
+    }
+  };
+  const auto fill = [&](double v) {
+    std::fill_n(sp, n, v);
+    sp += kRow;
+  };
+  const auto unary = [&](auto op) {
+    double* __restrict a = sp - kRow;
+    for (std::int64_t k = 0; k < n; ++k) a[k] = op(a[k]);
+  };
+  const auto binary = [&](auto op) {
+    double* __restrict a = sp - 2 * kRow;
+    const double* __restrict b = sp - kRow;
+    for (std::int64_t k = 0; k < n; ++k) a[k] = op(a[k], b[k]);
+    sp -= kRow;
+  };
+
+  for (std::size_t pc = 0; pc < cs.code.size(); ++pc) {
+    const BcInstr& ins = cs.code[pc];
+    switch (ins.op) {
+      case BcOp::PushConst:
+        fill(cs.consts[static_cast<std::size_t>(ins.a)]);
+        break;
+      case BcOp::PushScalar:
+        fill(scalars[ins.a]);
+        break;
+      case BcOp::PushLocal:
+        std::copy_n(locals + ins.a * kRow, n, sp);
+        sp += kRow;
+        break;
+      case BcOp::Load:
+        read_col(pc, ins.a, sp);
+        sp += kRow;
+        break;
+      case BcOp::Neg:
+        unary([](double a) { return -a; });
+        break;
+      case BcOp::Add:
+        binary([](double a, double b) { return a + b; });
+        break;
+      case BcOp::Sub:
+        binary([](double a, double b) { return a - b; });
+        break;
+      case BcOp::Mul:
+        binary([](double a, double b) { return a * b; });
+        break;
+      case BcOp::Div:
+        binary([](double a, double b) { return a / b; });
+        break;
+      case BcOp::Sqrt:
+        unary([](double a) { return std::sqrt(a); });
+        break;
+      case BcOp::Fabs:
+        unary([](double a) { return std::fabs(a); });
+        break;
+      case BcOp::Exp:
+        unary([](double a) { return std::exp(a); });
+        break;
+      case BcOp::Log:
+        unary([](double a) { return std::log(a); });
+        break;
+      case BcOp::Min:
+        binary([](double a, double b) { return std::min(a, b); });
+        break;
+      case BcOp::Max:
+        binary([](double a, double b) { return std::max(a, b); });
+        break;
+      case BcOp::Pow:
+        binary([](double a, double b) { return std::pow(a, b); });
+        break;
+      case BcOp::StoreLocal:
+        sp -= kRow;
+        std::copy_n(sp, n, locals + ins.a * kRow);
+        break;
+      case BcOp::Store:
+        sp -= kRow;
+        std::copy_n(sp, n, stores + n_stored++ * kRow);
+        break;
+      case BcOp::StoreAccum: {
+        // `*--sp + cur`: the read lands in the free column above the top.
+        read_col(pc, ins.a, sp);
+        const double* __restrict cur = sp;
+        sp -= kRow;
+        const double* __restrict val = sp;
+        double* __restrict dst = stores + n_stored++ * kRow;
+        for (std::int64_t k = 0; k < n; ++k) dst[k] = val[k] + cur[k];
+        break;
+      }
+    }
+  }
+
+  for (std::int64_t k = 0; k < n; ++k) {
+    const std::int64_t pt[4] = {z, y, x0 + k, 0};
+    for (std::int32_t s = 0; s < n_stored; ++s) {
+      const BcAccess& a = *rs.store_acc[static_cast<std::size_t>(s)];
+      const ArrayView& v = views[a.array];
+      const std::int64_t cz = pt[a.sel[0]] + a.off[0];
+      const std::int64_t cy = pt[a.sel[1]] + a.off[1];
+      const std::int64_t cx = pt[a.sel[2]] + a.off[2];
+      const double val = stores[s * kRow + k];
+      if (v.scratch) {
+        const std::size_t i = view_index(v, cz, cy, cx);
+        v.write[i] = val;
+        v.written[i] = 1;
+        ++c.swrites;
+        continue;
+      }
+      if (drop_outside_commit && !in_box(commit, cz, cy, cx)) continue;
+      ARTEMIS_CHECK_MSG(in_window(v, cz, cy, cx),
+                        "grid access (" << cz << "," << cy << "," << cx
+                                        << ") out of bounds");
+      v.write[view_index(v, cz, cy, cx)] = val;
+      ++c.gwrites;
+    }
+  }
+  c.greads += rs.greads_pp * n;
+  c.sreads += rs.sreads_pp * n;
+}
+
 }  // namespace
 
 BcRegion interior_region(const CompiledStencil& cs,
@@ -508,6 +707,18 @@ void run_split_region(const CompiledStencil& cs,
   const BcRegion in =
       interior_region(cs, views, region, drop_outside_commit, commit);
 
+  // The plain interior runs row-batched wherever same-point forwarding is
+  // static; counting mode keeps the per-point order its line stream
+  // records, and refused stages keep exec_point.
+  std::optional<Forwarding> fwd;
+  std::optional<RowScratch> rows;
+  if constexpr (!kCounted) {
+    if (!in.empty()) {
+      fwd = analyze_forwarding(cs, views);
+      if (fwd->ok()) rows.emplace(cs, *fwd, vp);
+    }
+  }
+
   const auto rim_run = [&](std::int64_t z, std::int64_t y, std::int64_t x0,
                            std::int64_t x1) {
     for (std::int64_t x = x0; x < x1; ++x) {
@@ -529,10 +740,18 @@ void run_split_region(const CompiledStencil& cs,
         continue;
       }
       rim_run(z, y, region.lo[2], in.lo[2]);
-      for (std::int64_t x = in.lo[2]; x < in.hi[2]; ++x) {
-        exec_point<false, false, kCounted>(cs, vp, scalars, st, z, y, x,
-                                           commit, drop_outside_commit, ci,
-                                           nullptr, trace);
+      if (rows) {
+        for (std::int64_t x = in.lo[2]; x < in.hi[2]; x += kRow) {
+          exec_row(cs, *fwd, vp, scalars, *rows, z, y, x,
+                   std::min(kRow, in.hi[2] - x), commit, drop_outside_commit,
+                   ci);
+        }
+      } else {
+        for (std::int64_t x = in.lo[2]; x < in.hi[2]; ++x) {
+          exec_point<false, false, kCounted>(cs, vp, scalars, st, z, y, x,
+                                             commit, drop_outside_commit, ci,
+                                             nullptr, trace);
+        }
       }
       ci.computed += in.hi[2] - in.lo[2];  // interior points never veto
       rim_run(z, y, in.hi[2], region.hi[2]);
@@ -649,32 +868,25 @@ void RimRunner::run(std::int64_t z, std::int64_t y, std::int64_t x0,
   }
 }
 
-bool needs_snapshot(const ir::ArrayAccessInfo& ai, int dims, bool recompute) {
+bool needs_snapshot(const ir::ArrayAccessInfo& ai, int dims) {
   if (!ai.read || !ai.written) return false;
-  bool non_center = false;
-  for (const auto& off : ai.read_offsets) {
-    for (const auto& ix : off) {
-      if (ix.is_const() || ix.offset != 0) non_center = true;
+  // The canonical center (index d driven by iterator d at offset 0, full
+  // coverage) touches only the executing point's own element, whose write
+  // commits after that point's reads. Any other index vector — an offset,
+  // a constant, a permuted or a dropped iterator — reaches elements that
+  // other points write.
+  const auto center = [dims](const std::vector<ir::IndexExpr>& ix) {
+    if (static_cast<int>(ix.size()) != dims) return false;
+    for (int d = 0; d < dims; ++d) {
+      const ir::IndexExpr& e = ix[static_cast<std::size_t>(d)];
+      if (e.iter != d || e.offset != 0) return false;
     }
-  }
-  if (!non_center) return false;
-  if (recompute) return true;  // overlapped tiling recomputes points
-  // Aliasing-free: one canonical index vector (dim d driven by iterator d,
-  // full coverage) shared by every read and write means a read at point p
-  // can only resolve to p's own write, which the pending buffer handles.
-  if (ai.dims != dims || ai.write_offsets.empty()) return true;
-  const auto& ref = ai.write_offsets.front();
-  if (static_cast<int>(ref.size()) != dims) return true;
-  for (int d = 0; d < dims; ++d) {
-    if (ref[static_cast<std::size_t>(d)].iter != d) return true;
-  }
-  for (const auto& w : ai.write_offsets) {
-    if (w != ref) return true;
-  }
-  for (const auto& r : ai.read_offsets) {
-    if (r != ref) return true;
-  }
-  return false;
+    return true;
+  };
+  return !std::all_of(ai.read_offsets.begin(), ai.read_offsets.end(),
+                      center) ||
+         !std::all_of(ai.write_offsets.begin(), ai.write_offsets.end(),
+                      center);
 }
 
 }  // namespace artemis::sim

@@ -20,11 +20,20 @@ namespace artemis::sim {
 /// a statement list ONCE into a flat postfix bytecode program with every
 /// name resolved to an integer slot — arrays to view ids with precomputed
 /// strides, scalars and locals to dense slot vectors, iterator offsets
-/// folded into per-access coordinate selectors — and then executes it with
-/// a tight switch loop. The instruction stream is emitted in the exact
-/// post-order the tree walk evaluates, so results, veto behaviour, element
-/// counters and global-access hook traces are bit-identical to
-/// apply_stmts_at_point, which remains the semantics oracle.
+/// folded into per-access coordinate selectors — and then interprets it.
+/// The instruction stream is emitted in the exact post-order the tree walk
+/// evaluates, so results, veto behaviour, element counters and
+/// global-access hook traces are bit-identical to apply_stmts_at_point,
+/// which remains the semantics oracle.
+///
+/// Two interpreters share the bytecode. exec_point runs one point through
+/// a switch loop over a value stack; it serves the boundary rim, hooked
+/// runs, counting mode and any stage whose same-point forwarding is not
+/// static. The plain guard-free interior instead runs row-batched: each
+/// instruction executes once over a row segment of up to kRow points
+/// (column stack, column locals, column store slots; loads stream at a
+/// fixed x stride), then stores commit per point in statement order. Same
+/// IEEE operations per lane, same commit order: bit-identical output.
 
 enum class BcOp : std::uint8_t {
   PushConst,   ///< push consts[a]
@@ -65,6 +74,9 @@ struct BcAccess {
   /// pending-write buffer first (same-point read-after-write semantics).
   bool scan_pending = false;
 };
+
+/// Points per row batch of the plain interior (see run_compiled_region).
+inline constexpr std::int64_t kRow = 128;
 
 /// Dense name -> slot table built once per (plan, run).
 class SlotMap {
@@ -242,6 +254,9 @@ BcRegion interior_region(const CompiledStencil& cs,
 /// The domain is split into an interior (bounds checks provably satisfied,
 /// no per-element hook test) and a boundary rim with the fully checked
 /// semantics; when `hook` is non-null everything runs checked + hooked.
+/// The plain interior runs row-batched when analyze_forwarding (see
+/// forwarding.hpp) resolves the stage statically under these views, and
+/// per point otherwise; both give the same grids and counters.
 ///
 /// `trace` enables the low-overhead counting mode: per-class (interior vs
 /// rim) counters and the coalesced global line stream accumulate into it
@@ -281,14 +296,13 @@ class RimRunner {
 };
 
 /// Shared snapshot policy for kernel-style execution: must `ai` be copied
-/// before the sweep so every point observes pre-kernel values? True when
-/// the array is both read and written, some read is off-center (or uses a
-/// constant index), and a read could observe another point's write. The
-/// aliasing-free special case — every read and write resolves to the same
-/// canonical per-point coordinate (index d = iterator d, identical
-/// offsets) and no overlapped-tiling recompute is in play — skips the
-/// copy; results are identical because writes commit only after the
-/// owning point's reads completed.
-bool needs_snapshot(const ir::ArrayAccessInfo& ai, int dims, bool recompute);
+/// before the sweep so every point observes pre-stage values? True when
+/// the array is both read and written and some read or write is not the
+/// canonical center (length `dims`, index d driven by iterator d, offset
+/// 0): offsets, constant indices, permuted and dropped iterators all reach
+/// elements other points write, concurrently under the parallel sweep.
+/// Canonical-center-only arrays skip the copy: a point reads and writes
+/// only its own element, and its write commits after its reads.
+bool needs_snapshot(const ir::ArrayAccessInfo& ai, int dims);
 
 }  // namespace artemis::sim

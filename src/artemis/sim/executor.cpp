@@ -233,12 +233,6 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     }
     return plan.stage_expand[stage][static_cast<std::size_t>(axis)];
   };
-  bool recompute = false;
-  for (std::size_t s = 0; s < plan.stages.size(); ++s) {
-    for (int a = 0; a < dims; ++a) {
-      if (expansion(s, a) != 0) recompute = true;
-    }
-  }
 
   // --- arrays whose reads could observe another point's write: snapshot ----
   const std::set<std::string> internals(plan.internal_arrays.begin(),
@@ -246,7 +240,7 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
   std::map<std::string, Grid3D> snapshots;
   for (const auto& [name, ai] : plan.info.arrays) {
     if (internals.count(name)) continue;
-    if (needs_snapshot(ai, dims, recompute)) snapshots.emplace(name, gs.grid(name));
+    if (needs_snapshot(ai, dims)) snapshots.emplace(name, gs.grid(name));
   }
 
   // --- slot resolution: names bind once per plan, not once per point ------

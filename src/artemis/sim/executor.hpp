@@ -99,9 +99,9 @@ struct ExecOptions {
 ///    zero-initialized block-local scratch (the shared-memory stand-in);
 ///  - external outputs commit only within the block's owned tile;
 ///  - a point is skipped when any read falls outside the domain (the CUDA
-///    boundary guard), and arrays read-and-written with neighbor offsets
-///    are snapshotted so all blocks observe pre-kernel values (see
-///    needs_snapshot for the exact rule).
+///    boundary guard), and arrays read-and-written anywhere but the
+///    canonical center are snapshotted so all blocks observe pre-kernel
+///    values (see needs_snapshot for the exact rule).
 ///
 /// Each stage's statement list is compiled once into slot-resolved
 /// bytecode (see bytecode.hpp) and blocks are swept in parallel over the

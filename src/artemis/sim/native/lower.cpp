@@ -1,12 +1,12 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <set>
 #include <tuple>
 #include <utility>
 
 #include "artemis/common/check.hpp"
 #include "artemis/common/str.hpp"
+#include "artemis/sim/forwarding.hpp"
 #include "artemis/sim/native/native.hpp"
 
 namespace artemis::sim::native {
@@ -52,15 +52,14 @@ struct Lowerer {
   std::map<AccessKey, std::uint16_t> load_cse;
   std::map<std::uint16_t, std::int32_t> reg_load;  ///< CSE reg -> loads[] id
 
-  struct Pending {
-    AccessKey key;
-    std::uint16_t val;
-  };
-  std::vector<Pending> pending;  ///< statement order, like the exec buffer
+  /// Same-point forwarding, resolved by the shared sim analysis.
+  const Forwarding& fwd;
+  std::vector<std::uint16_t> store_regs;  ///< stored value per store ordinal
 
   Lowerer(const CompiledStencil& cs_in,
-          const std::vector<std::uint8_t>& scratch_in, bool fm)
-      : cs(cs_in), is_scratch(scratch_in), fast_math(fm) {}
+          const std::vector<std::uint8_t>& scratch_in, bool fm,
+          const Forwarding& fwd_in)
+      : cs(cs_in), is_scratch(scratch_in), fast_math(fm), fwd(fwd_in) {}
 
   std::uint16_t alloc(bool pin) {
     std::uint16_t r;
@@ -134,36 +133,15 @@ struct Lowerer {
 
   /// Read one element through the pending-write buffer, statically. The
   /// result register is pinned (it may be read again via CSE). Mirrors
-  /// exec_point's read_at: a pending hit forwards the stored register and
+  /// exec_point's read_at: a forwarded read reuses the stored register and
   /// touches no memory and no counters; a memory read counts once per
   /// original read op (CSE shares the register, not the count).
-  bool read_access(const BcAccess& a, std::uint16_t& result) {
-    const AccessKey k = key_of(a);
-    if (a.scan_pending) {
-      for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-        if (it->key.array != a.array) continue;
-        if (it->key.sel != a.sel) {
-          // The buffered write and this read are driven by different
-          // coordinate selectors: whether they alias depends on the
-          // point, which only the runtime scan can decide.
-          return refuse(str_cat("pending-write aliasing on array slot ",
-                                a.array, " is point-dependent"));
-        }
-        if (it->key.off == a.off) {
-          result = it->val;
-          return true;  // static forward: always the same element
-        }
-        // Same selectors, different offsets: never the same element.
-      }
-      if (is_scratch[static_cast<std::size_t>(a.array)]) {
-        // A memory read of a scratch array this stage also stores to can
-        // observe another point's write (scratch is never snapshotted),
-        // making results depend on point order. The bytecode engine's
-        // row-major order defines the semantics; fall back to it.
-        return refuse(str_cat("scratch array slot ", a.array,
-                              " is read back after a same-stage store"));
-      }
+  void read_access(std::size_t pc, const BcAccess& a, std::uint16_t& result) {
+    if (const std::int32_t s = fwd.source[pc]; s >= 0) {
+      result = store_regs[static_cast<std::size_t>(s)];
+      return;
     }
+    const AccessKey k = key_of(a);
     const bool scratch = is_scratch[static_cast<std::size_t>(a.array)] != 0;
     if (scratch) {
       ++out.sreads_pp;
@@ -192,7 +170,6 @@ struct Lowerer {
       reg_load.emplace(result, load_idx);
     }
     if (!scratch) out.replay_reads.push_back(load_idx);
-    return true;
   }
 
   void unary(NOp op) {
@@ -244,11 +221,9 @@ struct Lowerer {
     // bytecode's row-major point order, which the native interior does
     // not preserve. Refuse; injective stores are order-free (each
     // element has exactly one writer).
-    for (int iter = 3 - cs.dims; iter < 3; ++iter) {
-      if (a.sel[0] != iter && a.sel[1] != iter && a.sel[2] != iter) {
-        return refuse(str_cat("store on array slot ", a.array,
-                              " does not address every iterator"));
-      }
+    if (!addresses_every_iterator(a, cs.dims)) {
+      return refuse(str_cat("store on array slot ", a.array,
+                            " does not address every iterator"));
     }
     NStore s;
     s.acc.view = a.array;
@@ -257,36 +232,10 @@ struct Lowerer {
     s.acc.scratch = is_scratch[static_cast<std::size_t>(a.array)] != 0;
     s.src = v;
     out.stores.push_back(s);
-    pending.push_back({key_of(a), v});
+    store_regs.push_back(v);
     if (s.acc.scratch) ++out.swrites_pp;
     // External stores contribute to gwrites by committed volume, not per
     // point — accounted analytically in add_interior_counters.
-    return true;
-  }
-
-  /// Scratch is never snapshotted, so a memory load that can observe a
-  /// same-stage store from ANOTHER point makes results depend on point
-  /// order. Safe only when the array has a single store key and every
-  /// memory load of it uses that exact key: each point then reads only
-  /// its own element (stores are injective), whose pre-value no other
-  /// point writes.
-  bool check_scratch_raw() {
-    std::map<std::int32_t, std::set<AccessKey>> scratch_stores;
-    for (const NStore& s : out.stores) {
-      if (s.acc.scratch) {
-        scratch_stores[s.acc.view].insert({s.acc.view, s.acc.sel, s.acc.off});
-      }
-    }
-    for (const NAccess& a : out.loads) {
-      if (!a.scratch) continue;
-      const auto it = scratch_stores.find(a.view);
-      if (it == scratch_stores.end()) continue;
-      if (it->second.size() != 1 ||
-          it->second.count({a.view, a.sel, a.off}) == 0) {
-        return refuse(str_cat("scratch array slot ", a.view,
-                              " is read and rewritten within one stage"));
-      }
-    }
     return true;
   }
 
@@ -345,7 +294,8 @@ struct Lowerer {
   bool run() {
     stack.reserve(static_cast<std::size_t>(std::max(1, cs.max_stack)));
     local_reg.assign(static_cast<std::size_t>(std::max(1, cs.n_locals)), 0);
-    for (const BcInstr& ins : cs.code) {
+    for (std::size_t pc = 0; pc < cs.code.size(); ++pc) {
+      const BcInstr& ins = cs.code[pc];
       switch (ins.op) {
         case BcOp::PushConst:
           push(const_reg_for(cs.consts[static_cast<std::size_t>(ins.a)]));
@@ -358,9 +308,7 @@ struct Lowerer {
           break;
         case BcOp::Load: {
           std::uint16_t r;
-          if (!read_access(cs.accesses[static_cast<std::size_t>(ins.a)], r)) {
-            return false;
-          }
+          read_access(pc, cs.accesses[static_cast<std::size_t>(ins.a)], r);
           push(r);
           break;
         }
@@ -419,7 +367,7 @@ struct Lowerer {
           // bytecode's operand order, store the sum.
           const BcAccess& a = cs.accesses[static_cast<std::size_t>(ins.a)];
           std::uint16_t cur;
-          if (!read_access(a, cur)) return false;
+          read_access(pc, a, cur);
           push(cur);
           binary(NOp::Add);
           const std::uint16_t v = pop();
@@ -430,7 +378,6 @@ struct Lowerer {
       }
     }
     ARTEMIS_CHECK(stack.empty());
-    if (!check_scratch_raw()) return false;
     build_chains();
     out.flops_per_point = cs.flops_per_point;
     return true;
@@ -447,7 +394,15 @@ LowerResult lower_stencil(const CompiledStencil& cs,
     res.reason = "statement list exceeds the virtual register budget";
     return res;
   }
-  Lowerer lw(cs, is_scratch, fast_math);
+  // Globals reach the native tier snapshotted unless every access is the
+  // canonical center (needs_snapshot), so only scratch reads see the
+  // stage's own stores.
+  const Forwarding fwd = analyze_forwarding(cs, is_scratch);
+  if (!fwd.ok()) {
+    res.reason = fwd.refusal;
+    return res;
+  }
+  Lowerer lw(cs, is_scratch, fast_math, fwd);
   lw.out.dims = cs.dims;
   if (!lw.run()) {
     res.reason = lw.reason;

@@ -132,10 +132,10 @@ struct LowerResult {
 
 /// Lower a compiled stencil. `is_scratch[slot]` marks plan-internal array
 /// slots (block-local scratch at execution time). Refuses — never
-/// miscompiles — when same-point pending-write aliasing cannot be
-/// resolved statically (reads and earlier writes to one array with
-/// different coordinate selectors may or may not hit depending on the
-/// point). All canonical-index paper kernels lower.
+/// miscompiles — whatever analyze_forwarding (forwarding.hpp) refuses
+/// with scratch as the in-place slots (globals arrive snapshotted unless
+/// every access is the canonical center), and stores that do not
+/// address every iterator. All canonical-index paper kernels lower.
 LowerResult lower_stencil(const CompiledStencil& cs,
                           const std::vector<std::uint8_t>& is_scratch,
                           bool fast_math);

@@ -12,12 +12,11 @@ void run_stencil_reference(const ir::Program& prog,
   const int dims = static_cast<int>(prog.iterators.size());
 
   // Snapshot arrays whose reads could observe another point's write
-  // (kernel semantics: every point sees pre-kernel values). The reference
-  // never recomputes points, so aliasing-free read-write arrays skip the
-  // copy.
+  // (kernel semantics: every point sees pre-kernel values); arrays read
+  // and written only at the canonical center skip the copy.
   std::map<std::string, Grid3D> snapshots;
   for (const auto& [name, ai] : info.arrays) {
-    if (needs_snapshot(ai, dims, /*recompute=*/false)) {
+    if (needs_snapshot(ai, dims)) {
       snapshots.emplace(name, gs.grid(name));
     }
   }
