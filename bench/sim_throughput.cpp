@@ -1,4 +1,4 @@
-// Simulator throughput: tree-walk vs compiled bytecode vs native SIMD.
+// Simulator throughput: tree-walk vs compiled bytecode vs native.
 //
 // Measures stencil applications per second (points/sec) of the functional
 // executor on paper kernels under four configurations:
@@ -7,22 +7,27 @@
 //                 one worker;
 //   bytecode   -- the slot-resolved compiled engine (SimEngine::Bytecode),
 //                 one worker;
-//   native     -- the register-allocated SIMD interior engine
-//                 (SimEngine::Native, strict mode), one worker;
+//   native     -- the host-compiled interior engine (SimEngine::Native,
+//                 strict mode), one worker;
 //   parallel   -- the native engine with the work-stealing block sweep.
 //
 // Beside them, `reference` times run_program_reference (the untiled
 // oracle every functional run is checked against: the bytecode engine's
 // row-batched interior, parallel over z) on the same points.
 //
+// Each configuration runs once untimed first (the native engine compiles
+// its stages there), then --reps timed runs; the report keeps the best,
+// the median and the interquartile range of the throughput.
+//
 // All of them produce bit-identical grids (cross-checked here); the
 // differential test suite (bytecode_sim_test, native_engine_test) proves
 // the stronger per-counter/per-trace equivalences. Results are written to
 // a machine-readable JSON report (--out, default BENCH_sim.json) with a
 // `host` block (hardware threads, native tier, build type), consumed by
-// the CI smoke check, which asserts compiled >= tree-walk and native >=
-// bytecode on every kernel.
+// the CI smoke check, which asserts median compiled >= tree-walk and
+// median native >= bytecode on every kernel.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -70,6 +75,24 @@ RunOutcome run_once(const ir::Program& prog,
                   .count();
   return r;
 }
+
+/// Throughput samples of one configuration, points per second.
+struct Samples {
+  std::vector<double> pps;
+
+  /// Linear-interpolated quantile, q in [0, 1].
+  double quantile(double q) const {
+    std::vector<double> v = pps;
+    std::sort(v.begin(), v.end());
+    const double at = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(at);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (at - static_cast<double>(lo));
+  }
+  double best() const { return *std::max_element(pps.begin(), pps.end()); }
+  double median() const { return quantile(0.5); }
+  double iqr() const { return quantile(0.75) - quantile(0.25); }
+};
 
 /// The reference interpreter over the whole program, best of `reps`.
 RunOutcome best_reference(const ir::Program& prog, std::uint64_t seed,
@@ -129,7 +152,8 @@ std::string flag_str(int argc, char** argv, const char* name,
 
 int main(int argc, char** argv) {
   const std::int64_t extent = flag_int(argc, argv, "extent", 64);
-  const int reps = static_cast<int>(flag_int(argc, argv, "reps", 3));
+  const int reps =
+      std::max(1, static_cast<int>(flag_int(argc, argv, "reps", 3)));
   const int jobs = static_cast<int>(flag_int(argc, argv, "jobs", 0));
   const std::string out_path = flag_str(argc, argv, "out", "BENCH_sim.json");
   const std::string kernels =
@@ -188,25 +212,26 @@ int main(int argc, char** argv) {
     sim::ExecOptions parallel = native;
     parallel.jobs = par_jobs;
 
-    const auto best = [&](const sim::ExecOptions& opts) {
-      RunOutcome first = run_once(prog, plans, 42, opts);
-      double best_pps = first.points / first.seconds;
-      for (int r = 1; r < reps; ++r) {
-        const RunOutcome o = run_once(prog, plans, 42, opts);
-        best_pps = std::max(best_pps, o.points / o.seconds);
+    // One untimed run, then `reps` timed ones; the outcome carries the
+    // last run's grids.
+    const auto measure = [&](const sim::ExecOptions& opts, Samples& s) {
+      RunOutcome o = run_once(prog, plans, 42, opts);
+      for (int r = 0; r < reps; ++r) {
+        o = run_once(prog, plans, 42, opts);
+        s.pps.push_back(o.points / o.seconds);
       }
-      first.seconds = first.points / best_pps;
-      return first;
+      return o;
     };
 
-    const RunOutcome tw = best(treewalk);
-    const RunOutcome bc = best(bytecode);
-    const RunOutcome nat = best(native);
-    const RunOutcome par = best(parallel);
-    const double tw_pps = tw.points / tw.seconds;
-    const double bc_pps = bc.points / bc.seconds;
-    const double nat_pps = nat.points / nat.seconds;
-    const double par_pps = par.points / par.seconds;
+    Samples tw_s, bc_s, nat_s, par_s;
+    const RunOutcome tw = measure(treewalk, tw_s);
+    const RunOutcome bc = measure(bytecode, bc_s);
+    const RunOutcome nat = measure(native, nat_s);
+    const RunOutcome par = measure(parallel, par_s);
+    const double tw_pps = tw_s.best();
+    const double bc_pps = bc_s.best();
+    const double nat_pps = nat_s.best();
+    const double par_pps = par_s.best();
     const RunOutcome ref = best_reference(prog, 42, reps);
     const double ref_pps = tw.points / ref.seconds;
     const bool identical = outputs_identical(prog, tw.gs, bc.gs) &&
@@ -233,9 +258,19 @@ int main(int argc, char** argv) {
     row.set("native_pps", Json(nat_pps));
     row.set("parallel_pps", Json(par_pps));
     row.set("reference_pps", Json(ref_pps));
+    const std::pair<const char*, const Samples*> spread[] = {
+        {"treewalk", &tw_s}, {"bytecode", &bc_s}, {"native", &nat_s},
+        {"parallel", &par_s}};
+    for (const auto& [ename, smp] : spread) {
+      row.set(str_cat(ename, "_pps_median"), Json(smp->median()));
+      row.set(str_cat(ename, "_pps_iqr"), Json(smp->iqr()));
+    }
     row.set("speedup_compiled", Json(bc_pps / tw_pps));
     row.set("speedup_native", Json(nat_pps / bc_pps));
     row.set("speedup_parallel", Json(par_pps / tw_pps));
+    row.set("speedup_compiled_median",
+            Json(bc_s.median() / tw_s.median()));
+    row.set("speedup_native_median", Json(nat_s.median() / bc_s.median()));
     row.set("outputs_identical", Json(identical));
     row.set("reference_identical", Json(ref_identical));
     rows.push_back(std::move(row));
@@ -243,7 +278,8 @@ int main(int argc, char** argv) {
   report.set("kernels", std::move(rows));
 
   std::ofstream(out_path) << report.dump(2) << "\n";
-  std::printf("Simulator throughput (extent %lld^3, best of %d, %d jobs)\n\n%s\n",
+  std::printf("Simulator throughput (extent %lld^3, best of %d after one "
+              "untimed run, %d jobs)\n\n%s\n",
               static_cast<long long>(extent), reps, par_jobs,
               table.to_string().c_str());
   std::printf("Report written to %s\n", out_path.c_str());

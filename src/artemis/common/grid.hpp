@@ -1,6 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "artemis/common/check.hpp"
@@ -19,14 +22,44 @@ struct Extents {
   bool operator==(const Extents&) const = default;
 };
 
+/// std::allocator, except that value-less construction default-initializes:
+/// a vector of doubles sized through it is allocated, not zeroed.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 /// A dense, row-major 3D grid of doubles. This is the storage substrate for
 /// both the reference interpreter and the tiled functional executor; it
 /// stands in for a cudaMalloc'd device allocation.
 class Grid3D {
  public:
+  using Storage = std::vector<double, DefaultInitAllocator<double>>;
+  /// Tag: allocate without writing, for a caller that fills every element.
+  struct Uninitialized {};
+
   Grid3D() = default;
   explicit Grid3D(Extents e, double fill = 0.0)
       : extents_(e), data_(static_cast<std::size_t>(e.volume()), fill) {
+    ARTEMIS_CHECK(e.z >= 1 && e.y >= 1 && e.x >= 1);
+  }
+  Grid3D(Extents e, Uninitialized)
+      : extents_(e), data_(static_cast<std::size_t>(e.volume())) {
     ARTEMIS_CHECK(e.z >= 1 && e.y >= 1 && e.x >= 1);
   }
 
@@ -48,8 +81,8 @@ class Grid3D {
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
 
-  std::vector<double>& raw() { return data_; }
-  const std::vector<double>& raw() const { return data_; }
+  Storage& raw() { return data_; }
+  const Storage& raw() const { return data_; }
 
   void fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
@@ -65,7 +98,7 @@ class Grid3D {
   }
 
   Extents extents_;
-  std::vector<double> data_;
+  Storage data_;
 };
 
 }  // namespace artemis

@@ -265,15 +265,15 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
   }
 
   // Native engine: lower each compiled stage once per plan execution
-  // (cheap next to compilation); stages the lowering refuses — and any
-  // hooked run — fall back to the bytecode engine, whose semantics the
-  // native tier reproduces bit-identically in strict mode.
+  // (cheap next to compilation) and fetch its compiled interior, built by
+  // the host C compiler on first use. Stages the lowering refuses or that
+  // fail to compile — and any hooked run — fall back to the bytecode
+  // engine, whose semantics the compiled interior reproduces
+  // bit-identically in strict mode.
   const bool native = opts.engine == SimEngine::Native && !hooked;
   std::vector<native::LowerResult> lowered;
-  const native::Tier tier = native ? native::active_tier()
-                                   : native::Tier::Scalar;
+  std::vector<native::CompiledStage> kernels;
   if (native) {
-    span.arg("native_tier", Json(native::tier_name(tier)));
     std::vector<std::uint8_t> is_scratch(
         static_cast<std::size_t>(arrays.size()), 0);
     for (const auto& name : plan.internal_arrays) {
@@ -283,7 +283,10 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     for (const auto& cs : compiled) {
       lowered.push_back(
           native::lower_stencil(*cs, is_scratch, opts.native_fast_math));
-      telemetry::counter_add(lowered.back().ok ? "sim.native_stages"
+      kernels.push_back(lowered.back().ok
+                            ? native::compile_stage(lowered.back().prog).stage
+                            : native::CompiledStage{});
+      telemetry::counter_add(kernels.back().fn ? "sim.native_stages"
                                                : "sim.native_fallbacks");
     }
   }
@@ -468,11 +471,11 @@ ExecCounters execute_plan(const KernelPlan& plan, GridSet& gs,
     if (bt != nullptr) bt->stages.resize(plan.stages.size());
     for (std::size_t s = 0; s < plan.stages.size(); ++s) {
       StageTrace* st = bt != nullptr ? &bt->stages[s] : nullptr;
-      if (native && lowered[s].ok) {
-        native::run_native_region(lowered[s].prog, *compiled[s], views,
-                                  scalar_vals.data(),
+      if (native && kernels[s].fn) {
+        native::run_native_region(lowered[s].prog, kernels[s], *compiled[s],
+                                  views, scalar_vals.data(),
                                   stage_region(s, own_lo, own_hi), own,
-                                  /*drop_outside_commit=*/true, c, st, tier);
+                                  /*drop_outside_commit=*/true, c, st);
       } else {
         run_compiled_region(*compiled[s], views, scalar_vals.data(),
                             stage_region(s, own_lo, own_hi), own,

@@ -21,7 +21,9 @@ class GridSet {
   /// listed in `copyin` receive pseudo-random contents from `seed`
   /// (uniform in [-1, 1] for arrays, [0.5, 1.5] for scalars); everything
   /// else is zero-initialized, matching a fresh cudaMalloc + explicit
-  /// host-to-device copies of the inputs.
+  /// host-to-device copies of the inputs. Each grid is written once: the
+  /// copyin values come from one serial RNG stream, and grids of 1 MiB or
+  /// more zero in parallel.
   static GridSet from_program(const ir::Program& prog, std::uint64_t seed);
 
   Grid3D& grid(const std::string& name);
@@ -36,7 +38,8 @@ class GridSet {
 
   void swap(const std::string& a, const std::string& b);
 
-  /// Deep copy (for running two schedules on identical inputs).
+  /// Deep copy (for running two schedules on identical inputs); grids of
+  /// 1 MiB or more copy in parallel.
   GridSet clone() const;
 
   const std::map<std::string, std::shared_ptr<Grid3D>>& grids() const {

@@ -1,7 +1,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <tuple>
 #include <utility>
 
 #include "artemis/common/check.hpp"
@@ -239,58 +238,6 @@ struct Lowerer {
     return true;
   }
 
-  /// Group loads that are pure streaming-axis (z) shifts of one another:
-  /// identical view and selectors, offsets equal after subtracting one
-  /// common z delta from every z-driven dimension. Runs of consecutive z
-  /// offsets become rotating register windows.
-  void build_chains() {
-    if (out.dims < 3) return;  // only 3D programs stream over z
-    using GroupKey = std::tuple<std::int32_t, std::array<std::uint8_t, 3>,
-                                std::array<std::int64_t, 3>>;
-    std::map<GroupKey, std::vector<std::pair<std::int64_t, std::int32_t>>>
-        groups;
-    for (std::size_t i = 0; i < out.loads.size(); ++i) {
-      const NAccess& a = out.loads[i];
-      int d0 = -1;
-      for (int d = 0; d < 3; ++d) {
-        if (a.sel[static_cast<std::size_t>(d)] == 0) {
-          d0 = d;
-          break;
-        }
-      }
-      if (d0 < 0) continue;  // value does not move with z
-      const std::int64_t coord = a.off[static_cast<std::size_t>(d0)];
-      std::array<std::int64_t, 3> norm = a.off;
-      for (std::size_t d = 0; d < 3; ++d) {
-        if (a.sel[d] == 0) norm[d] -= coord;
-      }
-      groups[{a.view, a.sel, norm}].emplace_back(
-          coord, static_cast<std::int32_t>(i));
-    }
-    for (auto& [key, members] : groups) {
-      std::sort(members.begin(), members.end());
-      std::size_t run = 0;
-      for (std::size_t i = 1; i <= members.size(); ++i) {
-        const bool breaks = i == members.size() ||
-                            members[i].first != members[i - 1].first + 1;
-        if (!breaks) continue;
-        if (i - run >= 2) {
-          const auto chain_id = static_cast<std::int32_t>(out.chains.size());
-          NChain ch;
-          for (std::size_t p = run; p < i; ++p) {
-            const std::int32_t li = members[p].second;
-            out.loads[static_cast<std::size_t>(li)].chain = chain_id;
-            out.loads[static_cast<std::size_t>(li)].chain_pos =
-                static_cast<std::int32_t>(p - run);
-            ch.members.push_back(li);
-          }
-          out.chains.push_back(std::move(ch));
-        }
-        run = i;
-      }
-    }
-  }
-
   bool run() {
     stack.reserve(static_cast<std::size_t>(std::max(1, cs.max_stack)));
     local_reg.assign(static_cast<std::size_t>(std::max(1, cs.n_locals)), 0);
@@ -378,7 +325,6 @@ struct Lowerer {
       }
     }
     ARTEMIS_CHECK(stack.empty());
-    build_chains();
     out.flops_per_point = cs.flops_per_point;
     return true;
   }

@@ -1,8 +1,9 @@
 #include "artemis/sim/native/native.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <array>
 #include <string>
+#include <vector>
 
 #include "artemis/common/check.hpp"
 
@@ -30,10 +31,6 @@ Tier detect_hw() {
   }
 #endif
   return Tier::Scalar;
-}
-
-Tier narrower(Tier a, Tier b) {
-  return static_cast<int>(a) < static_cast<int>(b) ? a : b;
 }
 
 /// The sub-box of `box` whose points' writes through `acc` pass the
@@ -141,35 +138,27 @@ void replay_row(const LinearProgram& lp, const std::vector<ArrayView>& views,
 }  // namespace
 
 Tier active_tier() {
-  static const Tier tier = [] {
-    const Tier hw = detect_hw();
-    if (const char* env = std::getenv("ARTEMIS_NATIVE_TIER")) {
-      const std::string s = env;
-      Tier want = hw;
-      if (s == "scalar") {
-        want = Tier::Scalar;
-      } else if (s == "avx2") {
-        want = Tier::Avx2;
-      } else if (s == "avx512") {
-        want = Tier::Avx512;
-      }
-      return narrower(want, hw);
-    }
-    return hw;
-  }();
+  static const Tier tier = detect_hw();
   return tier;
 }
 
-RunBoxFn run_box(Tier tier) {
-  switch (tier) {
-    case Tier::Avx512:
-      return &run_box_avx512;
-    case Tier::Avx2:
-      return &run_box_avx2;
-    case Tier::Scalar:
-      break;
+void CompiledStage::run_box(const LinearProgram& lp, const ArrayView* views,
+                            const double* scalars, const BcRegion& box,
+                            const BcRegion& commit, bool drop) const {
+  if (box.empty()) return;
+  const auto flat = [](const BcRegion& r) {
+    return std::array<std::int64_t, 6>{r.lo[0], r.lo[1], r.lo[2],
+                                       r.hi[0], r.hi[1], r.hi[2]};
+  };
+  std::vector<std::int64_t> ranges;
+  ranges.reserve(6 * lp.stores.size());
+  for (const NStore& s : lp.stores) {
+    const auto r = flat(drop && !s.acc.scratch
+                            ? committed_points(s.acc, box, commit)
+                            : box);
+    ranges.insert(ranges.end(), r.begin(), r.end());
   }
-  return &run_box_scalar;
+  fn(views, scalars, flat(box).data(), ranges.data());
 }
 
 void add_interior_counters(const LinearProgram& lp, const BcRegion& box,
@@ -189,67 +178,37 @@ void add_interior_counters(const LinearProgram& lp, const BcRegion& box,
   }
 }
 
-void run_native_region(const LinearProgram& lp, const CompiledStencil& cs,
+void run_native_region(const LinearProgram& lp, const CompiledStage& stage,
+                       const CompiledStencil& cs,
                        const std::vector<ArrayView>& views,
                        const double* scalars, const BcRegion& region,
                        const BcRegion& commit, bool drop_outside_commit,
-                       BcCounters& counters, StageTrace* trace, Tier tier) {
+                       BcCounters& counters, StageTrace* trace) {
   if (region.empty()) return;
   const BcRegion in =
       interior_region(cs, views, region, drop_outside_commit, commit);
-  const RunBoxFn box_fn = run_box(tier);
-
-  if (trace == nullptr) {
-    if (in.empty()) {
-      run_compiled_region(cs, views, scalars, region, commit,
-                          drop_outside_commit, counters);
-      return;
-    }
-    check_store_windows(lp, views, in, commit, drop_outside_commit);
-    // Rim: six slabs partitioning region \ interior. Each slab's own
-    // interior is empty (it is clipped by the very read constraint that
-    // bounded `in`), so these run fully checked; point order across
-    // slabs does not matter because lowering refused every
-    // order-dependent construct (see lower.cpp).
-    const auto rim = [&](std::array<std::int64_t, 3> lo,
-                         std::array<std::int64_t, 3> hi) {
-      BcRegion r;
-      r.lo = lo;
-      r.hi = hi;
-      if (!r.empty()) {
-        run_compiled_region(cs, views, scalars, r, commit,
-                            drop_outside_commit, counters);
-      }
-    };
-    const auto& rl = region.lo;
-    const auto& rh = region.hi;
-    rim({rl[0], rl[1], rl[2]}, {in.lo[0], rh[1], rh[2]});  // z-pre
-    rim({in.hi[0], rl[1], rl[2]}, {rh[0], rh[1], rh[2]});  // z-post
-    rim({in.lo[0], rl[1], rl[2]}, {in.hi[0], in.lo[1], rh[2]});  // y-pre
-    rim({in.lo[0], in.hi[1], rl[2]}, {in.hi[0], rh[1], rh[2]});  // y-post
-    rim({in.lo[0], in.lo[1], rl[2]},
-        {in.hi[0], in.hi[1], in.lo[2]});  // x-pre
-    rim({in.lo[0], in.lo[1], in.hi[2]},
-        {in.hi[0], in.hi[1], rh[2]});  // x-post
-    box_fn(lp, views.data(), scalars, in, commit, drop_outside_commit);
-    add_interior_counters(lp, in, commit, drop_outside_commit, counters);
-    return;
-  }
-
-  // Counting mode: reproduce run_split_region's row-major interleaving of
-  // rim spans and interior rows exactly, so the coalesced line stream is
-  // bit-identical to the bytecode engine's. Interior rows execute
-  // natively (within-row point order matches: x ascending, commits in
-  // statement order) and their records replay analytically.
-  trace->flops_per_point = cs.flops_per_point;
-  const std::int64_t pts = region.volume();
-  trace->lines.reserve(trace->lines.size() + static_cast<std::size_t>(pts) *
-                                                 (cs.accesses.size() + 1));
-  BcCounters ci, cr;
-  RimRunner rim(cs, views, scalars, commit, drop_outside_commit);
   if (!in.empty()) {
     check_store_windows(lp, views, in, commit, drop_outside_commit);
   }
+  // The rim runs fully checked, span by span in row-major order. Without
+  // counting, the interior runs as one box first; point order does not
+  // matter because lowering refused every order-dependent construct (see
+  // lower.cpp). In counting mode each interior row runs between its rim
+  // spans instead, reproducing run_split_region's row-major interleaving
+  // exactly, and its records replay analytically (within a row, points go
+  // x ascending and commit in statement order, as in the bytecode).
+  BcCounters ci, cr;
+  if (trace == nullptr) {
+    stage.run_box(lp, views.data(), scalars, in, commit,
+                  drop_outside_commit);
+    add_interior_counters(lp, in, commit, drop_outside_commit, ci);
+  } else {
+    trace->flops_per_point = cs.flops_per_point;
+    trace->lines.reserve(trace->lines.size() +
+                         static_cast<std::size_t>(region.volume()) *
+                             (cs.accesses.size() + 1));
+  }
+  RimRunner rim(cs, views, scalars, commit, drop_outside_commit);
   for (std::int64_t z = region.lo[0]; z < region.hi[0]; ++z) {
     const bool z_in = z >= in.lo[0] && z < in.hi[0];
     for (std::int64_t y = region.lo[1]; y < region.hi[1]; ++y) {
@@ -258,18 +217,23 @@ void run_native_region(const LinearProgram& lp, const CompiledStencil& cs,
         continue;
       }
       rim.run(z, y, region.lo[2], in.lo[2], cr, trace);
-      BcRegion row;
-      row.lo = {z, y, in.lo[2]};
-      row.hi = {z + 1, y + 1, in.hi[2]};
-      box_fn(lp, views.data(), scalars, row, commit, drop_outside_commit);
-      add_interior_counters(lp, row, commit, drop_outside_commit, ci);
-      replay_row(lp, views, trace, z, y, in.lo[2], in.hi[2], commit,
-                 drop_outside_commit);
+      if (trace != nullptr) {
+        BcRegion row;
+        row.lo = {z, y, in.lo[2]};
+        row.hi = {z + 1, y + 1, in.hi[2]};
+        stage.run_box(lp, views.data(), scalars, row, commit,
+                      drop_outside_commit);
+        add_interior_counters(lp, row, commit, drop_outside_commit, ci);
+        replay_row(lp, views, trace, z, y, in.lo[2], in.hi[2], commit,
+                   drop_outside_commit);
+      }
       rim.run(z, y, in.hi[2], region.hi[2], cr, trace);
     }
   }
-  trace->interior += ci;
-  trace->rim += cr;
+  if (trace != nullptr) {
+    trace->interior += ci;
+    trace->rim += cr;
+  }
   counters += ci;
   counters += cr;
 }

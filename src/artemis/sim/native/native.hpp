@@ -10,30 +10,22 @@
 
 namespace artemis::sim::native {
 
-/// --- native SIMD interior tier ----------------------------------------------
+/// --- native compiled interior -----------------------------------------------
 ///
-/// The bytecode engine executes every interior point through a switch loop
-/// and a software value stack. This tier lowers a CompiledStencil ONCE into
-/// a linearized register program — stack traffic replaced by virtual
-/// registers, same-point pending-write forwarding resolved statically,
-/// repeated loads CSE'd, per-access flat-index strides constant-folded —
-/// and executes guard-free interior boxes with runtime-dispatched SIMD
-/// over the unit-stride (x) axis: 4-wide AVX2, 8-wide AVX-512F, or a
-/// portable scalar loop, selected once by cpuid. Loads whose offsets
-/// recur along the streaming (z) axis share a rotating register window
-/// (the register-tiling idiom), so each z step issues one new load per
-/// chain instead of reloading the whole stencil star.
+/// The bytecode engine interprets every interior point through a switch
+/// loop and a value stack. This engine lowers a CompiledStencil once into
+/// a register program — virtual registers instead of the stack, same-point
+/// forwarding resolved statically, repeated loads CSE'd — emits it as one
+/// C function per stage (emit.cpp), builds that with the host C compiler
+/// and keeps the loaded object in a content-addressed cache (jit.cpp). The
+/// function sweeps guard-free interior boxes 8 points at a time along x.
 ///
-/// The boundary rim, vetoing points, hook traces and anything the lowering
-/// refuses stay on the bytecode engine, which remains the semantics
-/// oracle. In strict mode (the default) the emitted code preserves the
-/// bytecode's operation set and evaluation order exactly — no FMA
-/// contraction, lane arithmetic IEEE-identical to the scalar ops — so
-/// grids, counters and counting-mode traces are bit-identical to the
-/// bytecode engine. The declared fast-math mode additionally fuses
-/// mul+add/sub chains into correctly-rounded FMAs; it is deterministic
-/// across dispatch tiers (std::fma and vfmadd round identically) but only
-/// ULP-bounded against the bytecode oracle.
+/// The boundary rim, hooked runs, refused stages and stages that fail to
+/// build stay on the bytecode engine, the semantics oracle. Strict mode
+/// (the default) is bit-identical to it in grids, counters and
+/// counting-mode traces (docs/CORRECTNESS.md lists the emitter's rules);
+/// fast-math mode fuses mul+add/sub into fma() calls, deterministic but
+/// only ULP-bounded against the oracle.
 
 /// Register-program opcodes. Load pulls through loads[aux]; everything
 /// else is regs[dst] = op(regs[a], regs[b], regs[c]).
@@ -65,15 +57,12 @@ struct NInstr {
   std::int32_t aux = 0;  ///< loads[] index for NOp::Load
 };
 
-/// One lowered access: BcAccess with the scratch flag resolved and (for
-/// loads) its streaming-axis chain membership.
+/// One lowered access: BcAccess with the scratch flag resolved.
 struct NAccess {
   std::int32_t view = 0;
   std::array<std::uint8_t, 3> sel = {3, 3, 3};
   std::array<std::int64_t, 3> off = {0, 0, 0};
   bool scratch = false;
-  std::int32_t chain = -1;    ///< chains[] index, -1 = unchained
-  std::int32_t chain_pos = 0; ///< position in the chain's z-sorted window
 };
 
 struct NStore {
@@ -81,19 +70,13 @@ struct NStore {
   std::uint16_t src = 0;  ///< register holding the stored value
 };
 
-/// Loads identical up to consecutive streaming-axis offsets; the executor
-/// keeps their values in a rotating register ring across z steps.
-struct NChain {
-  std::vector<std::int32_t> members;  ///< loads[] indices, z-ascending
-};
-
 /// The lowered form of one CompiledStencil. Immutable after lowering;
-/// safe to execute from many threads concurrently.
+/// safe to share between threads.
 struct LinearProgram {
   int dims = 3;
   int n_regs = 0;
 
-  /// Broadcast once per box: regs[const_reg[i]] = setup_consts[i],
+  /// Set once per box: regs[const_reg[i]] = setup_consts[i],
   /// regs[scalar_reg[i]] = scalars[setup_scalars[i]].
   std::vector<double> setup_consts;
   std::vector<std::uint16_t> const_reg;
@@ -103,7 +86,6 @@ struct LinearProgram {
   std::vector<NInstr> body;
   std::vector<NAccess> loads;
   std::vector<NStore> stores;
-  std::vector<NChain> chains;
 
   /// Counting-mode replay: loads[] indices of every external memory read
   /// one point performs, in bytecode execution order (CSE'd loads appear
@@ -140,39 +122,63 @@ LowerResult lower_stencil(const CompiledStencil& cs,
                           const std::vector<std::uint8_t>& is_scratch,
                           bool fast_math);
 
-/// SIMD dispatch tiers, widest last.
+/// Host SIMD instruction sets, widest last. The compiled interior is built
+/// with -march=native, so this only reports what the host offers.
 enum class Tier { Scalar, Avx2, Avx512 };
 
 const char* tier_name(Tier tier);
 
-/// The tier this host executes: cpuid-detected once per process, then
-/// clamped by the ARTEMIS_NATIVE_TIER environment variable
-/// (scalar|avx2|avx512) when set — the override can narrow but never
-/// exceed what the hardware supports.
+/// The host's widest tier, cpuid-detected once per process.
 Tier active_tier();
 
-/// Execute the lowered program over every point of `box` (all points must
-/// be interior: in-bounds by construction, no veto possible). `views` and
-/// `scalars` are the same tables run_compiled_region binds. External
-/// stores honor drop-outside-commit semantics; scratch stores always land
-/// and set their written flags.
-using RunBoxFn = void (*)(const LinearProgram& lp, const ArrayView* views,
-                          const double* scalars, const BcRegion& box,
-                          const BcRegion& commit, bool drop_outside_commit);
+/// Entry point of one compiled stage: execute the lowered program over
+/// every point of `box` (all points interior: in-bounds by construction,
+/// no veto possible). `views` and `scalars` are the tables
+/// run_compiled_region binds. `box` is {lo z, y, x, hi z, y, x}, and
+/// `ranges` holds one such box per store: the points whose write
+/// commits. Scratch stores always land and set their written flags.
+extern "C" {
+typedef void (*RunBoxFn)(const ArrayView* views, const double* scalars,
+                         const std::int64_t* box,
+                         const std::int64_t* ranges);
+}
 
-RunBoxFn run_box(Tier tier);
+/// C source of one stage's interior, entry point `artemis_stage`. A pure
+/// function of the program (and of ArrayView's layout): the compile
+/// cache is keyed by it.
+std::string emit_stage_source(const LinearProgram& lp);
 
-/// Per-tier entry points (one translation unit each, compiled with that
-/// tier's instruction-set flags; narrow tiers are plain C++).
-void run_box_scalar(const LinearProgram& lp, const ArrayView* views,
-                    const double* scalars, const BcRegion& box,
-                    const BcRegion& commit, bool drop_outside_commit);
-void run_box_avx2(const LinearProgram& lp, const ArrayView* views,
-                  const double* scalars, const BcRegion& box,
-                  const BcRegion& commit, bool drop_outside_commit);
-void run_box_avx512(const LinearProgram& lp, const ArrayView* views,
-                    const double* scalars, const BcRegion& box,
-                    const BcRegion& commit, bool drop_outside_commit);
+/// The host compiler invocation, minus output and input names: `cc` found
+/// on PATH, then the flags. Part of every cache key.
+const std::vector<std::string>& compiler_command();
+
+/// A loaded stage: the shared object (unloaded when the last copy drops)
+/// and its entry point, null when the build failed.
+struct CompiledStage {
+  std::shared_ptr<void> object;
+  RunBoxFn fn = nullptr;
+
+  /// Run `lp` (the program this stage was compiled from) over `box`.
+  void run_box(const LinearProgram& lp, const ArrayView* views,
+               const double* scalars, const BcRegion& box,
+               const BcRegion& commit, bool drop_outside_commit) const;
+};
+
+/// What compile_stage produced: a stage, or why there is none.
+struct StageBuild {
+  CompiledStage stage;
+  std::string error;
+};
+
+/// The compiled form of `lp`, from the process-wide cache or built on
+/// first use: emit, run the host compiler in a private temporary
+/// directory, dlopen, delete the files. Each distinct source compiles
+/// once, even when many threads ask at the same time; failures (no
+/// compiler, a compile error, the "sim.native.compile" fault point) come
+/// back as an error for the caller to fall back on. Counts
+/// sim.native.compiles, sim.native.compile_hits and
+/// sim.native.compile_failures.
+StageBuild compile_stage(const LinearProgram& lp);
 
 /// Counting-mode bookkeeping for a native-executed interior box: the O(1)
 /// analytic form of what per-point bytecode counting would accumulate.
@@ -182,13 +188,15 @@ void add_interior_counters(const LinearProgram& lp, const BcRegion& box,
 
 /// Execute one stage over `region` with run_compiled_region's full
 /// contract — identical grids, counters, and (when `trace` is non-null)
-/// counting-mode line streams — using the native tier for the guard-free
-/// interior and the bytecode engine for the boundary rim. `lowered` must
-/// be the successful lowering of `cs`.
-void run_native_region(const LinearProgram& lp, const CompiledStencil& cs,
+/// counting-mode line streams — using the compiled stage for the
+/// guard-free interior and the bytecode engine for the boundary rim.
+/// `stage` must be the compiled form of `lp`, the successful lowering of
+/// `cs`.
+void run_native_region(const LinearProgram& lp, const CompiledStage& stage,
+                       const CompiledStencil& cs,
                        const std::vector<ArrayView>& views,
                        const double* scalars, const BcRegion& region,
                        const BcRegion& commit, bool drop_outside_commit,
-                       BcCounters& counters, StageTrace* trace, Tier tier);
+                       BcCounters& counters, StageTrace* trace);
 
 }  // namespace artemis::sim::native

@@ -227,14 +227,19 @@ Json build_run_report(const ReportMeta& meta,
 
   // Simulator engine accounting: which engine executed plans, how the
   // stencil-compilation dedup cache behaved, and — under the native
-  // engine — how many stages ran on the SIMD tier vs fell back to
-  // bytecode. Makes benchmark and verify runs self-describing.
+  // engine — how many stages ran compiled vs fell back to bytecode, and
+  // how the host-compiler cache behaved. Makes benchmark and verify runs
+  // self-describing.
   Json sim = Json::object();
   sim.set("engine", meta.engine.empty() ? "bytecode" : meta.engine);
   sim.set("compile_hits", counter("sim.compile_hits"));
   sim.set("compile_misses", counter("sim.compile_misses"));
   sim.set("native_stages", counter("sim.native_stages"));
   sim.set("native_fallbacks", counter("sim.native_fallbacks"));
+  sim.set("native_compiles", counter("sim.native.compiles"));
+  sim.set("native_compile_hits", counter("sim.native.compile_hits"));
+  sim.set("native_compile_failures",
+          counter("sim.native.compile_failures"));
   report.set("sim", std::move(sim));
 
   report.set("profile", events_named(events, "profile.verdict"));

@@ -65,6 +65,38 @@ TEST(GridSet, CloneIsDeep) {
   EXPECT_NE(copy.grid("a").at(1, 1, 1), 123.0);
 }
 
+TEST(GridSet, LargeGridsSetUpInParallelLikeSerial) {
+  // 37*61*67 doubles is 1.2 MiB, above the parallel set-up threshold, and
+  // its 4087-element planes do not divide the work chunks evenly.
+  const auto prog = dsl::parse(R"(
+    parameter L=37, M=61, N=67;
+    iterator k, j, i;
+    double a[L,M,N], b[L,M,N], w[N], c;
+    copyin w, a, c;
+    stencil s (B, A, c) { B[k][j][i] = c * A[k][j][i]; }
+    s (b, a, c);
+    copyout b;
+  )");
+  GridSet gs = GridSet::from_program(prog, 5);
+  // One serial stream in declaration order, whatever the worker count.
+  Rng rng(5);
+  for (const double v : gs.grid("a").raw()) {
+    ASSERT_EQ(v, rng.uniform(-1.0, 1.0));
+  }
+  for (const double v : gs.grid("w").raw()) {
+    ASSERT_EQ(v, rng.uniform(-1.0, 1.0));
+  }
+  EXPECT_EQ(gs.scalar("c"), rng.uniform(0.5, 1.5));
+  for (const double v : gs.grid("b").raw()) ASSERT_EQ(v, 0.0);
+
+  GridSet copy = gs.clone();
+  for (const char* name : {"a", "b", "w"}) {
+    EXPECT_EQ(copy.grid(name).raw(), gs.grid(name).raw()) << name;
+  }
+  gs.grid("a").at(36, 60, 66) = 9.0;
+  EXPECT_NE(copy.grid("a").at(36, 60, 66), 9.0);
+}
+
 TEST(GridSet, AddGridRejectsDuplicates) {
   const auto prog = dsl::parse(kProg);
   GridSet gs = GridSet::from_program(prog, 1);

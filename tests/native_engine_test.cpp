@@ -1,15 +1,26 @@
-// Native SIMD engine: lowering, tier dispatch, fallback, and equivalence
-// properties that go beyond the differential sweeps in bytecode_sim_test.
+// Native compiled engine: lowering, C emission, the host-compiler cache,
+// fallback, and equivalence properties that go beyond the differential
+// sweeps in bytecode_sim_test. Every test also passes with no C compiler
+// on PATH (tests/CMakeLists.txt registers that run): compiled-only checks
+// then assert the fallback instead.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <limits>
+#include <map>
 
 #include "artemis/codegen/plan_builder.hpp"
 #include "artemis/common/str.hpp"
 #include "artemis/dsl/parser.hpp"
 #include "artemis/gpumodel/device.hpp"
 #include "artemis/ir/analysis.hpp"
+#include "artemis/robust/fault_injection.hpp"
 #include "artemis/sim/executor.hpp"
 #include "artemis/sim/native/native.hpp"
 #include "artemis/sim/reference.hpp"
@@ -64,6 +75,37 @@ struct RawStage {
   }
 };
 
+/// Whether an executable `cc` is on PATH: compiled-only assertions hold
+/// exactly when it is.
+bool compiler_on_path() {
+  const char* path = std::getenv("PATH");
+  if (path == nullptr) return false;
+  for (const auto& dir : split(path, ':')) {
+    if (!dir.empty() && ::access((dir + "/cc").c_str(), X_OK) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Counters of one engine run with telemetry on.
+std::map<std::string, std::int64_t> counters_of(
+    const std::function<void()>& run) {
+  auto& col = telemetry::Collector::global();
+  col.enable();
+  col.clear();
+  run();
+  auto counters = col.counters();
+  col.disable();
+  return counters;
+}
+
+std::int64_t counter(const std::map<std::string, std::int64_t>& c,
+                     const std::string& name) {
+  const auto it = c.find(name);
+  return it == c.end() ? 0 : it->second;
+}
+
 bool grids_bit_identical(const GridSet& a, const GridSet& b) {
   for (const auto& [name, ga] : a.grids()) {
     const Grid3D& gb = b.grid(name);
@@ -73,6 +115,20 @@ bool grids_bit_identical(const GridSet& a, const GridSet& b) {
     }
   }
   return true;
+}
+
+/// The first bit difference between two grid sets, "" when identical.
+std::string first_difference(const GridSet& a, const GridSet& b) {
+  for (const auto& [name, ga] : a.grids()) {
+    const auto& va = ga->raw();
+    const auto& vb = b.grid(name).raw();
+    for (std::size_t i = 0; i < va.size(); ++i) {
+      if (std::memcmp(&va[i], &vb[i], sizeof(double)) != 0) {
+        return str_cat(name, "[", i, "]: ", va[i], " vs ", vb[i]);
+      }
+    }
+  }
+  return "";
 }
 
 // ---- lowering --------------------------------------------------------------
@@ -91,13 +147,6 @@ TEST(NativeEngine, JacobiLowers) {
   // bytecode engine's 8 so analytic counters match it bit for bit.
   EXPECT_EQ(r.prog.greads_pp, 8);
   EXPECT_EQ(r.prog.flops_per_point, st.cs.flops_per_point);
-  // The z-axis star column {-1, 0, +1} forms one rotating chain.
-  ASSERT_FALSE(r.prog.chains.empty());
-  bool has_len3 = false;
-  for (const auto& ch : r.prog.chains) {
-    has_len3 = has_len3 || ch.members.size() == 3;
-  }
-  EXPECT_TRUE(has_len3);
 }
 
 TEST(NativeEngine, FastMathFusesMulAdd) {
@@ -168,52 +217,268 @@ copyout out;
       << r.reason;
 }
 
-// ---- tier dispatch ---------------------------------------------------------
+// ---- compiled interior -----------------------------------------------------
 
-TEST(NativeEngine, AllSupportedTiersBitIdentical) {
-  // Execute the same interior box on every tier the host supports; strict
-  // mode must land bit-for-bit on the bytecode result, per tier.
+TEST(NativeEngine, CompiledInteriorBitIdenticalToBytecode) {
+  // The compiled stage over the whole interior, rim on bytecode, must land
+  // bit-for-bit on the bytecode result; the domain's x extent (16) is two
+  // full vectors in the interior rows' middle and a scalar tail at 14.
   const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
-
-  std::vector<native::Tier> tiers = {native::Tier::Scalar};
-#if defined(__x86_64__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    tiers.push_back(native::Tier::Avx2);
-  }
-  if (__builtin_cpu_supports("avx512f")) {
-    tiers.push_back(native::Tier::Avx512);
-  }
-#endif
-
   RawStage want(prog, 9);
   {
     BcCounters c;
     run_compiled_region(want.cs, want.views, want.scalar_vals.data(),
                         want.domain, want.domain, false, c);
   }
-  for (const native::Tier tier : tiers) {
-    RawStage got(prog, 9);
-    const auto r = native::lower_stencil(got.cs, got.is_scratch, false);
-    ASSERT_TRUE(r.ok) << r.reason;
-    BcCounters c;
-    native::run_native_region(r.prog, got.cs, got.views,
-                              got.scalar_vals.data(), got.domain,
-                              got.domain, false, c, nullptr, tier);
-    EXPECT_TRUE(grids_bit_identical(want.gs, got.gs))
-        << "tier " << native::tier_name(tier);
+  RawStage got(prog, 9);
+  const auto r = native::lower_stencil(got.cs, got.is_scratch, false);
+  ASSERT_TRUE(r.ok) << r.reason;
+  const native::StageBuild b = native::compile_stage(r.prog);
+  if (b.stage.fn == nullptr) {
+    EXPECT_FALSE(compiler_on_path()) << b.error;
+    return;
   }
+  BcCounters c;
+  native::run_native_region(r.prog, b.stage, got.cs, got.views,
+                            got.scalar_vals.data(), got.domain, got.domain,
+                            false, c, nullptr);
+  EXPECT_TRUE(grids_bit_identical(want.gs, got.gs));
 }
 
-TEST(NativeEngine, TierNamesAndDispatchTableAreSane) {
+TEST(NativeEngine, EmittedSourceIsAPureFunctionOfTheProgram) {
+  // The compile cache is keyed by the source, so equal programs must emit
+  // equal text, strict and fast-math programs must not, and the compiler
+  // must never be allowed to contract.
+  const ir::Program prog = dsl::parse(artemis::testing::kJacobiDsl);
+  RawStage st(prog, 1);
+  const auto strict = native::lower_stencil(st.cs, st.is_scratch, false);
+  const auto fast = native::lower_stencil(st.cs, st.is_scratch, true);
+  ASSERT_TRUE(strict.ok && fast.ok);
+  const std::string src = native::emit_stage_source(strict.prog);
+  EXPECT_EQ(src, native::emit_stage_source(strict.prog));
+  EXPECT_NE(src, native::emit_stage_source(fast.prog));
+  EXPECT_NE(src.find("void artemis_stage("), std::string::npos);
+  const auto fma_calls = [](const std::string& text) {
+    std::size_t n = 0;
+    for (auto at = text.find("fma("); at != std::string::npos;
+         at = text.find("fma(", at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_GT(fma_calls(native::emit_stage_source(fast.prog)), fma_calls(src));
+  const auto& cmd = native::compiler_command();
+  EXPECT_EQ(cmd.front(), "cc");
+  EXPECT_NE(std::find(cmd.begin(), cmd.end(), "-ffp-contract=off"),
+            cmd.end());
   EXPECT_STREQ(native::tier_name(native::Tier::Scalar), "scalar");
   EXPECT_STREQ(native::tier_name(native::Tier::Avx2), "avx2");
   EXPECT_STREQ(native::tier_name(native::Tier::Avx512), "avx512");
-  for (const auto t :
-       {native::Tier::Scalar, native::Tier::Avx2, native::Tier::Avx512}) {
-    EXPECT_NE(native::run_box(t), nullptr);
+}
+
+/// Fill `a` and `b` (same shape) so that element n holds the pair
+/// (specials[n % K], specials[n / K % K]): every ordered pair of IEEE
+/// special values and ordinary numbers — NaN, ±0, ±inf, subnormals,
+/// negative arguments — meets the libm calls and selects.
+void fill_special(Grid3D& a, Grid3D& b) {
+  const double specials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -2.5,
+      1.0 / 3.0,
+      1e300,
+      -1e-300,
+      0.7,
+      2.0,
+      -1.0,
+      // pow(x, 2.0) rounds differently from x*x here.
+      -0x1.3522e660f66fep-1};
+  constexpr std::size_t k = std::size(specials);
+  for (std::size_t n = 0; n < a.raw().size(); ++n) {
+    a.raw()[n] = specials[n % k];
+    b.raw()[n] = specials[n / k % k];
   }
-  // Whatever cpuid picked must be a dispatchable tier.
-  EXPECT_NE(native::run_box(native::active_tier()), nullptr);
+}
+
+TEST(NativeEngine, StrictLibmAndSelectsBitIdenticalToBytecode) {
+  // pow with constant exponents is what a compiler that recognizes pow
+  // folds (x*x for 2.0, sqrt for 0.5 under relaxed math, x*x*x for 3.0);
+  // min/max with NaN and ±0 operands are where a select and a minsd
+  // disagree. Each result lands in its own grid so raw bits compare, and
+  // no arithmetic op meets two NaNs: which payload such an op returns is
+  // the compiler's choice in either engine (docs/CORRECTNESS.md). Rows
+  // are 21 wide and one block spans them, so the interior x range 1..19
+  // is two full vectors and a scalar tail, and every pair of values
+  // (225 of them, repeating every 225 elements) reaches a vector lane.
+  const ir::Program prog = dsl::parse(R"(
+parameter L=6, M=5, N=21;
+iterator k, j, i;
+double a[L,M,N], b[L,M,N], p2[L,M,N], p05[L,M,N], p3[L,M,N], ex[L,M,N],
+       lg[L,M,N], mn[L,M,N], mx[L,M,N], mnr[L,M,N], sq[L,M,N], ng[L,M,N];
+copyin a, b;
+stencil special (P2, P05, P3, EX, LG, MN, MX, MNR, SQ, NG, A, B) {
+  P2[k][j][i] = pow(A[k][j][i], 2.0);
+  P05[k][j][i] = pow(A[k][j][i+1], 0.5);
+  P3[k][j][i] = pow(B[k][j][i], 3.0) * 0.5;
+  EX[k][j][i] = exp(A[k][j][i]);
+  LG[k][j][i] = log(B[k][j][i-1]);
+  MN[k][j][i] = min(A[k][j][i], B[k][j][i]);
+  MX[k][j][i] = max(A[k][j][i], B[k][j][i]);
+  MNR[k][j][i] = min(B[k][j][i], A[k][j][i]);
+  SQ[k][j][i] = sqrt(B[k][j][i]);
+  NG[k][j][i] = -fabs(A[k][j][i]);
+}
+special (p2, p05, p3, ex, lg, mn, mx, mnr, sq, ng, a, b);
+copyout p2, p05, p3, ex, lg, mn, mx, mnr, sq, ng;
+)");
+  const auto dev = gpumodel::p100();
+  KernelConfig cfg;
+  cfg.block = {32, 2, 2};
+  const auto plan =
+      codegen::build_plan_for_call(prog, prog.steps[0].call, cfg, dev);
+
+  GridSet bc = GridSet::from_program(prog, 5);
+  fill_special(bc.grid("a"), bc.grid("b"));
+  GridSet nat = bc.clone();
+  execute_plan(plan, bc);
+  const auto counters = counters_of([&] {
+    ExecOptions no;
+    no.engine = SimEngine::Native;
+    execute_plan(plan, nat, no);
+  });
+  EXPECT_EQ(first_difference(bc, nat), "");
+  EXPECT_EQ(counter(counters, "sim.native_stages") > 0, compiler_on_path());
+}
+
+TEST(NativeEngine, InjectedCompileFailureFallsBackAndMatches) {
+  // The "sim.native.compile" fault point fails the build: the stage runs
+  // on bytecode, bit-identically, and counts as a fallback. The program's
+  // constant (1.25) appears in no other test, so its stage is not cached.
+  const ir::Program prog = dsl::parse(R"(
+parameter L=8, M=8, N=8;
+iterator k, j, i;
+double in[L,M,N], out[L,M,N];
+copyin in;
+stencil scale (B, A) {
+  B[k][j][i] = 1.25 * A[k][j][i] + A[k][j][i-1];
+}
+scale (out, in);
+copyout out;
+)");
+  const auto dev = gpumodel::p100();
+  KernelConfig cfg;
+  cfg.block = {8, 4, 4};
+  const auto plan =
+      codegen::build_plan_for_call(prog, prog.steps[0].call, cfg, dev);
+
+  GridSet bc = GridSet::from_program(prog, 3);
+  GridSet nat = bc.clone();
+  execute_plan(plan, bc);
+  robust::FaultSpec spec;
+  spec.crash_p = 1.0;
+  spec.site = "sim.native.compile";
+  robust::install_fault_plan(spec);
+  ExecOptions no;
+  no.engine = SimEngine::Native;
+  const auto counters = counters_of([&] { execute_plan(plan, nat, no); });
+  robust::clear_fault_plan();
+
+  EXPECT_TRUE(grids_bit_identical(bc, nat));
+  EXPECT_GT(counter(counters, "sim.native_fallbacks"), 0);
+  EXPECT_EQ(counter(counters, "sim.native_stages"), 0);
+  EXPECT_GT(counter(counters, "sim.native.compile_failures"), 0);
+
+  // The injected failure is not remembered: with the fault plan gone the
+  // same stage compiles (when a compiler exists).
+  GridSet again = GridSet::from_program(prog, 3);
+  const auto retry = counters_of([&] { execute_plan(plan, again, no); });
+  EXPECT_TRUE(grids_bit_identical(bc, again));
+  EXPECT_EQ(counter(retry, "sim.native_stages") > 0, compiler_on_path());
+}
+
+TEST(NativeEngine, MissingCompilerFallsBackAndMatches) {
+  // With no compiler on PATH the build fails to start; the stage falls
+  // back to bytecode and the failure is cached, so the next execution
+  // neither retries nor changes its answer.
+  const ir::Program prog = dsl::parse(R"(
+parameter L=8, M=8, N=8;
+iterator k, j, i;
+double in[L,M,N], out[L,M,N];
+copyin in;
+stencil shift (B, A) {
+  B[k][j][i] = A[k][j][i+1] - 0.375 * A[k][j][i];
+}
+shift (out, in);
+copyout out;
+)");
+  const auto dev = gpumodel::p100();
+  KernelConfig cfg;
+  cfg.block = {8, 8, 2};
+  const auto plan =
+      codegen::build_plan_for_call(prog, prog.steps[0].call, cfg, dev);
+
+  GridSet bc = GridSet::from_program(prog, 4);
+  GridSet nat = bc.clone();
+  execute_plan(plan, bc);
+  const char* old = std::getenv("PATH");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("PATH", "/nonexistent", 1);
+  ExecOptions no;
+  no.engine = SimEngine::Native;
+  const auto first = counters_of([&] { execute_plan(plan, nat, no); });
+  ::setenv("PATH", saved.c_str(), 1);
+  const auto second = counters_of([&] { execute_plan(plan, nat, no); });
+
+  EXPECT_TRUE(grids_bit_identical(bc, nat));
+  EXPECT_GT(counter(first, "sim.native.compile_failures"), 0);
+  EXPECT_GT(counter(first, "sim.native_fallbacks"), 0);
+  EXPECT_EQ(counter(second, "sim.native.compiles"), 0);
+  EXPECT_GT(counter(second, "sim.native.compile_hits"), 0);
+  EXPECT_GT(counter(second, "sim.native_fallbacks"), 0);
+}
+
+TEST(NativeEngine, CompileLeavesNoFilesBehind) {
+  // The build directory, source, object and log are gone once the stage
+  // is loaded; a fresh TMPDIR must be empty again after a compiling run.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   str_cat("artemis-native-test-", ::getpid());
+  std::filesystem::create_directories(dir);
+  const char* old = std::getenv("TMPDIR");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("TMPDIR", dir.c_str(), 1);
+  const ir::Program prog = dsl::parse(R"(
+parameter L=8, M=8, N=8;
+iterator k, j, i;
+double in[L,M,N], out[L,M,N];
+copyin in;
+stencil tidy (B, A) {
+  B[k][j][i] = A[k][j][i] * 0.8125 + A[k][j-1][i];
+}
+tidy (out, in);
+copyout out;
+)");
+  const auto dev = gpumodel::p100();
+  KernelConfig cfg;
+  cfg.block = {8, 8, 8};
+  const auto plan =
+      codegen::build_plan_for_call(prog, prog.steps[0].call, cfg, dev);
+  GridSet gs = GridSet::from_program(prog, 6);
+  ExecOptions no;
+  no.engine = SimEngine::Native;
+  const auto counters = counters_of([&] { execute_plan(plan, gs, no); });
+  if (saved.empty()) {
+    ::unsetenv("TMPDIR");
+  } else {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  }
+  EXPECT_EQ(counter(counters, "sim.native.compiles"), 1);
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  std::filesystem::remove_all(dir);
 }
 
 // ---- engine plumbing -------------------------------------------------------
